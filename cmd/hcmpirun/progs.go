@@ -103,8 +103,8 @@ func demo(n *hcmpi.Node, ctx *hcmpi.Ctx) {
 // the victim leaves the collective schedule and waits for the
 // launcher's SIGKILL, while the survivors enter a barrier that still
 // includes it. That barrier can only complete through the failure
-// path, after which each survivor asserts that operations against the
-// dead rank fail fast with ErrRankFailed.
+// path: each survivor asserts that it reports ErrRankFailed, and that
+// operations against the dead rank then fail fast with ErrRankFailed.
 func chaosProg(victim int, deadline time.Duration) func(n *hcmpi.Node, ctx *hcmpi.Ctx) {
 	return func(n *hcmpi.Node, ctx *hcmpi.Ctx) {
 		me := n.Rank()
@@ -120,8 +120,12 @@ func chaosProg(victim int, deadline time.Duration) func(n *hcmpi.Node, ctx *hcmp
 		defer watchdog.Stop()
 
 		// Mid-collective when the kill lands: the victim never joins, so
-		// this unblocks only once the transport declares it failed.
-		n.Barrier(ctx)
+		// this unblocks only once the transport declares it failed, and
+		// the barrier carries the failure to every survivor.
+		if err := n.Barrier(ctx); !errors.Is(err, hcmpi.ErrRankFailed) {
+			fmt.Fprintf(os.Stderr, "chaos: rank %d: barrier without rank %d returned %v, want ErrRankFailed\n", me, victim, err)
+			os.Exit(5)
+		}
 
 		st := n.Wait(ctx, n.Isend([]byte{1}, victim, 9))
 		if st.Err != hcmpi.ErrRankFailed {

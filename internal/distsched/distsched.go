@@ -441,7 +441,7 @@ func (s *Scheduler) issueSteal(rng *rand.Rand) {
 	}
 	s.ctr.reqSent.Add(1)
 	s.ring.Emit(trace.EvDistStealReq, int64(v), 0)
-	s.track(s.node.SendReserved(nil, v, tagStealReq), v)
+	s.track(s.node.Isend(nil, v, tagStealReq), v)
 }
 
 func (s *Scheduler) isAlive(r int) bool {
@@ -541,7 +541,7 @@ func (s *Scheduler) tryToken() {
 			s.ctr.termRounds.Add(1)
 		}
 		s.ring.Emit(trace.EvDistToken, int64(next), 0)
-		s.track(s.node.SendReserved(tok, next, tagToken), next)
+		s.track(s.node.Isend(tok, next, tagToken), next)
 	case ActionTerminate:
 		s.ring.Emit(trace.EvDistDone, 0, 0)
 		for r := 0; r < s.node.Size(); r++ {
@@ -613,7 +613,7 @@ func (s *Scheduler) onStealReq(src int, _ []byte) {
 		s.exporting.Add(-1)
 		s.ctr.deniesOut.Add(1)
 		s.ring.Emit(trace.EvDistDeny, int64(src), int64(rest))
-		s.track(s.node.SendReserved(encodeDeny(rest), src, tagStealDeny), src)
+		s.track(s.node.Isend(encodeDeny(rest), src, tagStealDeny), src)
 		return
 	}
 	// Safra: count the work send BEFORE it leaves (and before the
@@ -629,7 +629,7 @@ func (s *Scheduler) onStealReq(src int, _ []byte) {
 			s.pool.Put(f.payload)
 		}
 	}
-	s.track(s.node.SendReserved(buf, src, tagStealGrant), src)
+	s.track(s.node.Isend(buf, src, tagStealGrant), src)
 }
 
 // harvest removes up to min(MaxBatch, ceil(total/2)) frames for export:

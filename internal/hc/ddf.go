@@ -80,7 +80,7 @@ func (r *ddtReg) fire(here Releaser) {
 		here.ReleaseTask(r.task)
 		return
 	}
-	r.rt.Submit(r.task)
+	r.rt.submit(r.task)
 }
 
 // notify records that one awaited DDF has been put.

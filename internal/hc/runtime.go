@@ -10,6 +10,8 @@
 // in its scope. The join is help-first: a worker blocked at the end of a
 // finish executes other tasks (its own deque first, then steals) instead
 // of idling, and parks only when the whole runtime has no visible work.
+// The same loop (worker.helpUntil) drives the idle worker itself and any
+// task that waits on an external condition through Ctx.HelpUntil.
 package hc
 
 import (
@@ -18,7 +20,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hcmpi/internal/deque"
 	"hcmpi/internal/trace"
@@ -37,15 +38,11 @@ type Task struct {
 	finish *Finish
 	ctx    Ctx
 	// pooled marks frames drawn from a worker frame pool. Frames built
-	// by clients (NewTask, Submit) stay unpooled and fall back to the
-	// GC: the runtime cannot know whether the client retains them.
+	// outside a worker (Root, Releaser implementations) stay unpooled and
+	// fall back to the GC: the runtime cannot know whether the client
+	// retains them.
 	pooled bool
 }
-
-// NewTask builds a task bound to a finish scope; used by runtime clients
-// (the HCMPI communication worker) that release tasks onto steal-visible
-// deques themselves.
-func NewTask(fn func(*Ctx), f *Finish) Task { return Task{fn: fn, finish: f} }
 
 // Runtime is one node's worker pool.
 type Runtime struct {
@@ -58,14 +55,14 @@ type Runtime struct {
 	sleepers atomic.Int32
 	done     atomic.Bool
 
-	// wakeSeq is the wake ticket counter: every Wake bumps it, and idle
-	// workers re-arm their spin phase when they observe a new ticket, so
-	// freshly published work is picked up without a park/unpark round
-	// trip through idleCond.
+	// wakeSeq is the wake ticket counter: every Wake bumps it, and an
+	// idle or waiting worker re-checks as soon as it observes a new
+	// ticket, so freshly published work or a just-satisfied wait is
+	// picked up without a park/unpark round trip through idleCond.
 	wakeSeq atomic.Uint64
 
-	// helpers recycles the transient worker contexts that HelpUntil and
-	// AsyncBlocking spin up (deque + RNG + frame pool are worth keeping).
+	// helpers recycles the detached worker contexts that AsyncBlocking
+	// spins up (deque + RNG + frame pool are worth keeping).
 	helpers *deque.Stack[worker]
 
 	wg sync.WaitGroup
@@ -109,9 +106,6 @@ type worker struct {
 	// that RUNS a task frees the frame into its own list, both on the
 	// worker's goroutine — frames migrate between pools with steals.
 	frames *deque.FreeList[Task]
-	// parkTimer bounds a helper context's park (see parkBounded);
-	// lazily created, then reused across parks.
-	parkTimer *time.Timer
 }
 
 // Ctx is the execution context handed to every task: which worker is
@@ -129,11 +123,6 @@ func (c *Ctx) NumWorkers() int { return len(c.w.rt.workers) }
 
 // Runtime returns the runtime executing this task.
 func (c *Ctx) Runtime() *Runtime { return c.w.rt }
-
-// CurrentFinish exposes the enclosing finish scope (used by runtime
-// clients such as the HCMPI communication layer to attribute released
-// continuations to the right scope).
-func (c *Ctx) CurrentFinish() *Finish { return c.finish }
 
 // New creates a runtime with n computation workers and starts them.
 // extraStealSources are deques owned by non-worker components (HCMPI's
@@ -219,9 +208,7 @@ func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer }
 // work (via Root/finish) first.
 func (rt *Runtime) Shutdown() {
 	rt.done.Store(true)
-	rt.idleMu.Lock()
-	rt.idleCond.Broadcast()
-	rt.idleMu.Unlock()
+	rt.Wake()
 	rt.wg.Wait()
 }
 
@@ -229,21 +216,16 @@ func (rt *Runtime) Shutdown() {
 // the calling (non-worker) goroutine until f and everything it spawned
 // have completed.
 func (rt *Runtime) Root(f func(*Ctx)) {
-	root := rt.NewFinish(nil)
+	root := &Finish{rt: rt}
 	root.inc()
 	done := make(chan struct{})
 	root.onZero = func() { close(done) }
-	rt.Submit(Task{finish: root, fn: f})
+	rt.submit(Task{finish: root, fn: f})
 	<-done
 }
 
-// NewFinish creates a detached finish scope bound to this runtime.
-func (rt *Runtime) NewFinish(parent *Finish) *Finish {
-	return &Finish{rt: rt, parent: parent}
-}
-
-// Submit enqueues a task from a non-worker goroutine.
-func (rt *Runtime) Submit(t Task) {
+// submit enqueues a task from a non-worker goroutine.
+func (rt *Runtime) submit(t Task) {
 	rt.inject.Push(&t)
 	rt.Wake()
 }
@@ -255,10 +237,11 @@ func (rt *Runtime) submitFrame(t *Task) {
 	rt.Wake()
 }
 
-// Wake rouses parked workers; clients pushing to external steal-visible
-// deques must call it after each push. The ticket bump lands before the
-// sleeper check: a worker that is still in its spin phase sees the new
-// ticket and re-arms instead of parking.
+// Wake rouses parked workers; clients must call it after each push to an
+// external steal-visible deque and after each change that can make a
+// Ctx.HelpUntil condition true. The ticket bump lands before the sleeper
+// check: a worker that is still spinning, or about to park, sees the new
+// ticket and re-checks instead of parking.
 func (rt *Runtime) Wake() {
 	rt.wakeSeq.Add(1)
 	if rt.sleepers.Load() > 0 {
@@ -277,11 +260,6 @@ const (
 	// spinSweeps is how many extra work-finding sweeps — with a Gosched
 	// between them — an idle worker makes before parking on idleCond.
 	spinSweeps = 4
-	// helperParkMin/Max bound a helper context's timed park: helpers
-	// wait on predicates whose triggers are not guaranteed to Wake the
-	// pool, so their parks are bounded and back off exponentially.
-	helperParkMin = 10 * time.Microsecond
-	helperParkMax = time.Millisecond
 )
 
 // newTask builds a spawn frame from the worker's pool. Owner-only (the
@@ -424,59 +402,81 @@ func (w *worker) run(t *Task) {
 }
 
 // spin is the middle rung of the idle protocol: a few extra sweeps with
-// a Gosched between them before committing to a park. Returns true when
-// the caller should re-scan immediately — either a task was found (and
-// run), or the wake ticket moved, meaning work was just published.
-func (w *worker) spin() bool {
-	rt := w.rt
-	seq := rt.wakeSeq.Load()
+// a Gosched between them before committing to a park. It returns true as
+// soon as the caller should re-check its condition: the wake ticket moved
+// past seq (work was published, or a waited-on condition may have become
+// true), or a task was found and run.
+func (w *worker) spin(seq uint64) bool {
 	for i := 0; i < spinSweeps; i++ {
 		runtime.Gosched()
+		if w.rt.wakeSeq.Load() != seq {
+			return true
+		}
 		if t, ok := w.next(); ok {
 			w.run(t)
 			return true
 		}
-		if rt.done.Load() {
-			return false // fall through to loop's park path, which re-checks done
-		}
 	}
-	return rt.wakeSeq.Load() != seq
+	return false
+}
+
+// helpUntil runs tasks until done() holds. It is the one help-first loop
+// of the runtime: a pool worker's main loop is helpUntil(runtime shut
+// down), a finish join is helpUntil(scope drained), and Ctx.HelpUntil
+// hands any other condition to it. With no visible work it spins, then
+// parks on idleCond.
+//
+// done() never runs with idleMu held. The wake ticket read before each
+// check closes the missed-wakeup window instead: whatever makes done()
+// true, or publishes work, calls Wake afterwards, so if the ticket has
+// not moved by the time the waiter is registered as a sleeper, nothing
+// it checked has changed, and any later Wake sees the sleeper and
+// broadcasts.
+func (w *worker) helpUntil(done func() bool) {
+	rt := w.rt
+	for {
+		seq := rt.wakeSeq.Load()
+		if done() {
+			if w.detached {
+				w.returnStolen()
+			}
+			return
+		}
+		if t, ok := w.next(); ok {
+			w.run(t)
+			continue
+		}
+		if w.spin(seq) {
+			continue
+		}
+		rt.idleMu.Lock()
+		rt.sleepers.Add(1)
+		if rt.wakeSeq.Load() == seq {
+			rt.parks.Inc()
+			rt.idleCond.Wait()
+		}
+		rt.sleepers.Add(-1)
+		rt.idleMu.Unlock()
+	}
+}
+
+// returnStolen hands the tasks a detached context stole in a batch and
+// has not run back to the pool: its deque is invisible to thieves, so
+// they would otherwise wait, and hold their finish scope open, until the
+// context next helps.
+func (w *worker) returnStolen() {
+	for {
+		t, ok := w.deque.Pop()
+		if !ok {
+			return
+		}
+		w.rt.submitFrame(t)
+	}
 }
 
 func (w *worker) loop() {
 	defer w.rt.wg.Done()
-	rt := w.rt
-	for {
-		if t, ok := w.next(); ok {
-			w.run(t)
-			continue
-		}
-		if rt.done.Load() {
-			return
-		}
-		if w.spin() {
-			continue
-		}
-		// Park: announce sleeping, re-scan once to close the missed
-		// wakeup window, then wait.
-		rt.idleMu.Lock()
-		rt.sleepers.Add(1)
-		if t, ok := w.next(); ok {
-			rt.sleepers.Add(-1)
-			rt.idleMu.Unlock()
-			w.run(t)
-			continue
-		}
-		if rt.done.Load() {
-			rt.sleepers.Add(-1)
-			rt.idleMu.Unlock()
-			return
-		}
-		rt.parks.Inc()
-		rt.idleCond.Wait()
-		rt.sleepers.Add(-1)
-		rt.idleMu.Unlock()
-	}
+	w.helpUntil(w.rt.done.Load)
 }
 
 // Async spawns fn as a child task in the current finish scope. The child
@@ -517,7 +517,7 @@ func (c *Ctx) AsyncBlocking(fn func(*Ctx)) {
 	rt.tasksSpawned.Add(1)
 	c.w.ring.Emit(trace.EvTaskSpawn, 0, 0)
 	go func() {
-		dw := rt.getHelper(true)
+		dw := rt.getHelper()
 		ctx := Ctx{w: dw, finish: f}
 		fn(&ctx)
 		if f != nil {
@@ -581,192 +581,52 @@ func (c *Ctx) ForAsync(n, chunk int, body func(ctx *Ctx, i int)) {
 // within it has terminated. While blocked, the worker executes other
 // available tasks (help-first join).
 func (c *Ctx) Finish(body func(*Ctx)) {
-	f := c.w.rt.NewFinish(c.finish)
+	f := &Finish{rt: c.w.rt}
 	// The scope's inner context lives inside the Finish itself, so
 	// opening a scope costs one allocation (the Finish), not two.
 	f.inner.w = c.w
 	f.inner.finish = f
 	body(&f.inner)
-	c.w.join(f)
+	c.w.helpUntil(f.drained)
 }
 
-// join helps until f's task count drains to zero, with the same
-// spin→yield→park idle protocol as the worker loop (every path that can
-// drop the count to zero calls Wake, so a parked joiner is always
-// roused).
-func (w *worker) join(f *Finish) {
-	rt := w.rt
-	for f.count.Load() > 0 {
-		if t, ok := w.next(); ok {
-			w.run(t)
-			continue
-		}
-		if w.spin() {
-			continue
-		}
-		rt.idleMu.Lock()
-		rt.sleepers.Add(1)
-		if f.count.Load() == 0 {
-			rt.sleepers.Add(-1)
-			rt.idleMu.Unlock()
-			return
-		}
-		if t, ok := w.next(); ok {
-			rt.sleepers.Add(-1)
-			rt.idleMu.Unlock()
-			w.run(t)
-			continue
-		}
-		rt.parks.Inc()
-		rt.idleCond.Wait()
-		rt.sleepers.Add(-1)
-		rt.idleMu.Unlock()
-	}
-}
+// HelpUntil blocks the task until done() holds, keeping its worker
+// productive meanwhile: the worker runs other tasks (its own deque, then
+// steals) and parks only when the runtime has no visible work. It is the
+// loop a finish join uses, with a caller-supplied condition. Whatever
+// makes done() true must call Runtime.Wake afterwards, or a parked waiter
+// may miss it; done must be cheap and must not block or take locks that
+// a task could hold.
+func (c *Ctx) HelpUntil(done func() bool) { c.w.helpUntil(done) }
 
-// helperIDs hands out worker ids above the real pool for help-first
+// helperIDs hands out worker ids above the real pool for detached
 // execution contexts.
 var helperIDs atomic.Int64
 
-// getHelper pops a recycled helper context or builds one. Helper ids
+// getHelper pops a recycled detached context or builds one. Helper ids
 // are assigned once, at construction, and stay with the context across
 // reuses.
-func (rt *Runtime) getHelper(detached bool) *worker {
+func (rt *Runtime) getHelper() *worker {
 	hw, ok := rt.helpers.Pop()
 	if !ok {
 		hw = &worker{
-			id:     int(helperIDs.Add(1)) + len(rt.workers),
-			rt:     rt,
-			deque:  deque.NewDeque[Task](),
-			rng:    rand.New(rand.NewSource(helperIDs.Load()*40503 + 7)),
-			frames: deque.NewFreeList[Task](frameListCap),
+			id:       int(helperIDs.Add(1)) + len(rt.workers),
+			rt:       rt,
+			deque:    deque.NewDeque[Task](),
+			rng:      rand.New(rand.NewSource(helperIDs.Load()*40503 + 7)),
+			frames:   deque.NewFreeList[Task](frameListCap),
+			detached: true,
 		}
 	}
-	hw.detached = detached
 	return hw
 }
 
-// putHelper recycles a helper context; its deque must be empty.
-func (rt *Runtime) putHelper(hw *worker) {
-	hw.detached = false
-	rt.helpers.Push(hw)
-}
-
-// HelpUntil keeps the calling goroutine productive while it waits for an
-// external condition: it executes queued tasks (as a thief over every
-// steal-visible deque, plus the inject queue) until pred() returns true.
-// Blocking constructs — phaser next, HCMPI wait paths — use it so that a
-// logically blocked task does not idle its worker (help-first policy).
-//
-// Tasks executed here run under a helper context whose Worker() id is
-// outside [0, NumWorkers); code keyed on worker ids must tolerate that.
-//
-// An idle helper spins, yields, then parks on idleCond — but unlike a
-// pool worker its park is BOUNDED (exponential backoff from
-// helperParkMin to helperParkMax): pred's trigger is external and not
-// guaranteed to call Wake, so an unbounded park could miss it.
-func (rt *Runtime) HelpUntil(pred func() bool) {
-	if pred() {
-		return
-	}
-	hw := rt.getHelper(false)
-	seq := rt.wakeSeq.Load()
-	idle := 0
-	park := helperParkMin
-	for !pred() {
-		if t, ok := hw.nextHelper(); ok {
-			hw.run(t)
-			idle = 0
-			park = helperParkMin
-			continue
-		}
-		if s := rt.wakeSeq.Load(); s != seq {
-			seq = s // work was just published; rescan without backing off
-			idle = 0
-			continue
-		}
-		idle++
-		if idle <= spinSweeps {
-			runtime.Gosched()
-			continue
-		}
-		rt.parkBounded(hw, park)
-		if park < helperParkMax {
-			park *= 2
-		}
-	}
-	// Anything spawned by helped tasks and not yet executed becomes
-	// globally visible again.
-	for {
-		t, ok := hw.deque.Pop()
-		if !ok {
-			break
-		}
-		rt.submitFrame(t)
-	}
-	rt.putHelper(hw)
-}
-
-// nextHelper is the helper's work-finding order: own (invisible) deque,
-// injected tasks, then a batched sweep over every steal-visible deque.
-func (w *worker) nextHelper() (*Task, bool) {
-	if t, ok := w.deque.Pop(); ok {
-		return t, true
-	}
-	if t, ok := w.rt.inject.Pop(); ok {
-		return t, true
-	}
-	return w.stealAll()
-}
-
-// parkBounded parks hw on idleCond for at most d: the helper's reusable
-// timer broadcasts the condition when the bound expires. The timer
-// callback takes idleMu, so it cannot fire between the Reset and the
-// Wait — the broadcast is only deliverable once the helper is waiting.
-func (rt *Runtime) parkBounded(hw *worker, d time.Duration) {
-	rt.idleMu.Lock()
-	rt.sleepers.Add(1)
-	if hw.parkTimer == nil {
-		hw.parkTimer = time.AfterFunc(d, rt.broadcastIdle)
-	} else {
-		hw.parkTimer.Reset(d)
-	}
-	rt.parks.Inc()
-	rt.idleCond.Wait()
-	hw.parkTimer.Stop()
-	rt.sleepers.Add(-1)
-	rt.idleMu.Unlock()
-}
-
-// broadcastIdle rouses every idleCond waiter; pool workers woken
-// spuriously re-scan and re-park.
-func (rt *Runtime) broadcastIdle() {
-	rt.idleMu.Lock()
-	rt.idleCond.Broadcast()
-	rt.idleMu.Unlock()
-}
-
-// stealAll sweeps every steal-visible deque (the helper owns none of
-// them), moving batches into the helper's own deque.
-func (w *worker) stealAll() (*Task, bool) {
-	n := len(w.rt.stealSet)
-	if n == 0 {
-		return nil, false
-	}
-	start := w.rng.Intn(n)
-	for i := 0; i < n; i++ {
-		if t, moved, ok := w.rt.stealSet[(start+i)%n].StealBatch(w.deque); ok {
-			w.stole(-1, moved)
-			return t, true
-		}
-	}
-	return nil, false
-}
+// putHelper recycles a detached context.
+func (rt *Runtime) putHelper(hw *worker) { rt.helpers.Push(hw) }
 
 // Finish tracks the live-task count of one finish scope.
 type Finish struct {
 	rt     *Runtime
-	parent *Finish
 	count  atomic.Int64
 	onZero func()
 	// inner is the scope's execution context (Ctx.Finish hands body a
@@ -774,14 +634,10 @@ type Finish struct {
 	inner Ctx
 }
 
-// Inc registers one more pending task on the scope (exported for runtime
-// clients like the HCMPI communication worker).
-func (f *Finish) Inc() { f.inc() }
-
-// Dec marks one pending task complete.
-func (f *Finish) Dec() { f.dec() }
-
 func (f *Finish) inc() { f.count.Add(1) }
+
+// drained reports whether every task of the scope has terminated.
+func (f *Finish) drained() bool { return f.count.Load() == 0 }
 
 func (f *Finish) dec() {
 	if f.count.Add(-1) == 0 {

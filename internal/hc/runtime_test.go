@@ -1,9 +1,12 @@
 package hc
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hcmpi/internal/deque"
 )
 
 func withRT(t *testing.T, n int, f func(rt *Runtime)) {
@@ -194,23 +197,29 @@ func TestCtxAccessors(t *testing.T) {
 			if ctx.Runtime() != rt {
 				t.Error("Runtime accessor wrong")
 			}
-			if ctx.CurrentFinish() == nil {
+			if ctx.finish == nil {
 				t.Error("root ctx has no finish")
 			}
 		})
 	})
 }
 
+// Root submits from a non-worker goroutine; tasks it spawns are joined
+// even when they are released from outside the pool (a DDF put from a
+// plain goroutine goes through the inject queue).
 func TestSubmitFromOutside(t *testing.T) {
 	withRT(t, 2, func(rt *Runtime) {
-		f := rt.NewFinish(nil)
-		f.Inc()
-		done := make(chan struct{})
-		rt.Submit(NewTask(func(*Ctx) { close(done) }, f))
-		select {
-		case <-done:
-		case <-time.After(2 * time.Second):
-			t.Fatal("submitted task never ran")
+		d := NewDDF()
+		var ran atomic.Bool
+		go func() {
+			time.Sleep(time.Millisecond)
+			d.Put(nil, 1)
+		}()
+		rt.Root(func(ctx *Ctx) {
+			ctx.AsyncAwait(func(*Ctx) { ran.Store(true) }, d)
+		})
+		if !ran.Load() {
+			t.Fatal("task released from outside the pool never ran")
 		}
 	})
 }
@@ -267,24 +276,24 @@ func TestShutdownIdempotentWorkers(t *testing.T) {
 }
 
 func TestHelpUntilExecutesQueuedTasks(t *testing.T) {
-	// A goroutine blocked on an external condition keeps the pool
-	// productive by stealing queued work.
+	// A task blocked on an external condition keeps its worker
+	// productive by running queued work.
 	withRT(t, 1, func(rt *Runtime) {
 		var done atomic.Int64
 		var cond atomic.Bool
 		rt.Root(func(ctx *Ctx) {
 			ctx.Finish(func(ctx *Ctx) {
 				for i := 0; i < 20; i++ {
-					ctx.Async(func(*Ctx) {
-						done.Add(1)
-						if done.Load() == 20 {
+					ctx.Async(func(ctx *Ctx) {
+						if done.Add(1) == 20 {
 							cond.Store(true)
+							ctx.Runtime().Wake()
 						}
 					})
 				}
-				// Help from inside the root task: the single worker is
-				// occupied by us, so progress REQUIRES helping.
-				rt.HelpUntil(func() bool { return cond.Load() })
+				// The single worker is occupied by us, so progress
+				// REQUIRES helping.
+				ctx.HelpUntil(cond.Load)
 			})
 		})
 		if done.Load() != 20 {
@@ -295,8 +304,60 @@ func TestHelpUntilExecutesQueuedTasks(t *testing.T) {
 
 func TestHelpUntilImmediateCondition(t *testing.T) {
 	withRT(t, 2, func(rt *Runtime) {
-		rt.HelpUntil(func() bool { return true }) // must not hang
+		rt.Root(func(ctx *Ctx) {
+			ctx.HelpUntil(func() bool { return true }) // must not hang
+		})
 	})
+}
+
+// A condition set from outside the pool, followed by Wake, releases a
+// waiter that has parked (no other work exists to keep it spinning).
+func TestHelpUntilWokenFromOutside(t *testing.T) {
+	withRT(t, 1, func(rt *Runtime) {
+		for i := 0; i < 200; i++ {
+			var cond atomic.Bool
+			go func() {
+				if i%2 == 0 {
+					time.Sleep(50 * time.Microsecond)
+				}
+				cond.Store(true)
+				rt.Wake()
+			}()
+			rt.Root(func(ctx *Ctx) { ctx.HelpUntil(cond.Load) })
+		}
+	})
+}
+
+// A detached context (AsyncBlocking) that helps while it waits steals
+// batches into a deque no thief can see. The tasks it has not run when
+// its condition holds must go back to the pool.
+func TestDetachedHelpReturnsStolenTasks(t *testing.T) {
+	const n = 32
+	extra := deque.NewDeque[Task]()
+	rt := New(1, extra)
+	defer rt.Shutdown()
+	var ran atomic.Int64
+	for i := 0; i < n; i++ {
+		extra.Push(&Task{fn: func(*Ctx) { ran.Add(1) }})
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	timer := time.AfterFunc(2*time.Second, rt.Wake)
+	defer timer.Stop()
+	rt.Root(func(ctx *Ctx) {
+		var helped atomic.Bool
+		ctx.AsyncBlocking(func(ctx *Ctx) {
+			// Steals a batch from extra, runs one task, and stops.
+			ctx.HelpUntil(func() bool { return ran.Load() > 0 })
+			helped.Store(true)
+		})
+		for !helped.Load() {
+			runtime.Gosched() // keep the only pool worker off extra
+		}
+		ctx.HelpUntil(func() bool { return ran.Load() == n || time.Now().After(deadline) })
+	})
+	if got := ran.Load(); got != n {
+		t.Fatalf("ran %d of %d tasks; the rest were stranded in a detached deque", got, n)
+	}
 }
 
 func TestAsyncBlockingJoinsFinish(t *testing.T) {
@@ -358,15 +419,20 @@ func TestRuntimeNumWorkersAndFinishDec(t *testing.T) {
 	if rt.NumWorkers() != 3 {
 		t.Fatalf("NumWorkers = %d", rt.NumWorkers())
 	}
-	// External Inc/Dec bookkeeping (used by HCMPI's comm worker).
-	f := rt.NewFinish(nil)
-	f.Inc()
-	done := make(chan struct{})
-	f2 := rt.NewFinish(nil)
-	_ = f2
-	go func() {
-		f.Dec()
-		close(done)
-	}()
-	<-done
+	// A scope's count drops as its tasks terminate, wherever they run.
+	rt.Root(func(ctx *Ctx) {
+		var f *Finish
+		ctx.Finish(func(ctx *Ctx) {
+			f = ctx.finish
+			for i := 0; i < 3; i++ {
+				ctx.Async(func(*Ctx) {})
+			}
+			if f.drained() {
+				t.Error("scope drained with tasks pending")
+			}
+		})
+		if !f.drained() {
+			t.Errorf("finish returned with count %d", f.count.Load())
+		}
+	})
 }

@@ -7,106 +7,80 @@ import (
 
 // Point-to-point and collective API (paper Table I). Every call here runs
 // in a computation task; the operation itself is carried out by the
-// communication worker. Blocking variants are built from the non-blocking
-// ones exactly as the paper prescribes: HCMPI_Wait is
-// finish { async await(req) }, and HCMPI_Recv is an HCMPI_Irecv inside a
-// finish.
+// communication worker. Blocking variants are a non-blocking call plus
+// Wait. The paper defines HCMPI_Wait as finish { async await(req) }; Wait
+// here is equivalent but builds no no-op task, finish scope or await
+// registration. The waiting task helps on the request itself
+// (hc.Ctx.HelpUntil): its worker runs other tasks, exactly as it would
+// while blocked at the end of that finish, until the communication worker
+// puts the status into the request's DDF and wakes it.
 
 // Isend starts an asynchronous send (HCMPI_Isend). The buffer is handed
-// off immediately and may be reused by the caller.
+// off immediately and may be reused by the caller. A negative tag goes
+// out on the reserved path, for runtime protocols that need the request.
 func (n *Node) Isend(buf []byte, dest, tag int) *Request {
-	req := n.newRequest()
 	t := n.allocTask()
 	t.kind = kindIsend
 	t.buf, t.peer, t.tag = buf, dest, tag
-	t.request = req
-	n.prescribe(t)
-	return req
+	return n.post(t)
 }
 
 // Irecv starts an asynchronous receive into buf (HCMPI_Irecv).
 func (n *Node) Irecv(buf []byte, src, tag int) *Request {
-	req := n.newRequest()
 	t := n.allocTask()
 	t.kind = kindIrecv
 	t.buf, t.peer, t.tag = buf, src, tag
-	t.request = req
-	n.prescribe(t)
-	return req
+	return n.post(t)
 }
 
 // IrecvBytes starts an asynchronous receive of a variable-size message;
 // the completion Status carries the payload.
 func (n *Node) IrecvBytes(src, tag int) *Request {
-	req := n.newRequest()
 	t := n.allocTask()
 	t.kind = kindIrecv
 	t.peer, t.tag = src, tag
 	t.takeAll = true
-	t.request = req
-	n.prescribe(t)
-	return req
+	return n.post(t)
 }
 
 // Wait blocks the computation task until the request completes
-// (HCMPI_Wait). It is implemented as finish { async await(req) }; the
-// worker executes other tasks while logically blocked.
+// (HCMPI_Wait) and returns its status. It is equivalent to the paper's
+// finish { async await(req) } without the no-op task: the worker
+// executes other tasks while logically blocked, and returns to this task
+// once the request's DDF is full.
 func (n *Node) Wait(ctx *hc.Ctx, r *Request) *Status {
-	ctx.Finish(func(ctx *hc.Ctx) {
-		ctx.AsyncAwait(func(*hc.Ctx) {}, r.ddf)
-	})
-	st, err := r.GetStatus()
-	if err != nil {
-		panic("hcmpi: Wait finished but status missing: " + err.Error())
-	}
-	return st
+	ctx.HelpUntil(r.ddf.Full)
+	return r.status()
 }
 
-// WaitAll blocks until every request completes (HCMPI_Waitall): the
-// awaited DDF list is an AND expression.
+// WaitAll blocks until every request completes (HCMPI_Waitall, the AND
+// await list) and returns their statuses in order.
 func (n *Node) WaitAll(ctx *hc.Ctx, rs ...*Request) []*Status {
-	ddfs := make([]*hc.DDF, len(rs))
-	for i, r := range rs {
-		ddfs[i] = r.ddf
-	}
-	ctx.Finish(func(ctx *hc.Ctx) {
-		ctx.AsyncAwait(func(*hc.Ctx) {}, ddfs...)
-	})
 	sts := make([]*Status, len(rs))
 	for i, r := range rs {
-		st, err := r.GetStatus()
-		if err != nil {
-			panic("hcmpi: WaitAll finished but status missing")
-		}
-		sts[i] = st
+		sts[i] = n.Wait(ctx, r)
 	}
 	return sts
 }
 
-// WaitAny blocks until at least one request completes (HCMPI_Waitany):
-// the awaited DDF list is an OR expression. It returns the index of a
-// completed request and its status.
+// WaitAny blocks until at least one request completes (HCMPI_Waitany, the
+// OR await list) and returns the index of a completed request and its
+// status; -1 for an empty list.
 func (n *Node) WaitAny(ctx *hc.Ctx, rs ...*Request) (int, *Status) {
 	if len(rs) == 0 {
 		return -1, nil
 	}
-	ddfs := make([]*hc.DDF, len(rs))
-	for i, r := range rs {
-		ddfs[i] = r.ddf
-	}
-	ctx.Finish(func(ctx *hc.Ctx) {
-		ctx.AsyncAwaitAny(func(*hc.Ctx) {}, ddfs...)
+	var i int
+	var st *Status
+	ctx.HelpUntil(func() bool {
+		var ok bool
+		i, st, ok = n.TestAny(rs...)
+		return ok
 	})
-	for i, r := range rs {
-		if st, ok := r.Test(); ok {
-			return i, st
-		}
-	}
-	panic("hcmpi: WaitAny released with no completed request")
+	return i, st
 }
 
-// Send is the blocking send (HCMPI_Send): a non-blocking send inside a
-// finish scope.
+// Send is the blocking send (HCMPI_Send): a non-blocking send plus Wait.
 func (n *Node) Send(ctx *hc.Ctx, buf []byte, dest, tag int) *Status {
 	return n.Wait(ctx, n.Isend(buf, dest, tag))
 }
@@ -126,12 +100,17 @@ func (n *Node) RecvBytes(ctx *hc.Ctx, src, tag int) ([]byte, *Status) {
 // (HCMPI_REQUEST_CREATE). Since HCMPI requests are DDFs, an unbound
 // request is a user-managed synchronization cell: complete it with
 // CompleteRequest and await it like any communication.
-func (n *Node) RequestCreate() *Request { return n.newRequest() }
+func (n *Node) RequestCreate() *Request { return &Request{} }
 
 // CompleteRequest resolves a user-created request with st, releasing any
-// tasks awaiting it. Completing a runtime-owned request is an error.
+// tasks awaiting it or blocked in Wait on it. Completing a request twice
+// is an error.
 func (n *Node) CompleteRequest(ctx *hc.Ctx, r *Request, st *Status) error {
-	return r.ddf.TryPut(ctx, st)
+	if err := r.ddf.TryPut(ctx, st); err != nil {
+		return err
+	}
+	n.rt.Wake()
+	return nil
 }
 
 // Cancel asks the communication worker to cancel an outstanding
@@ -140,14 +119,10 @@ func (n *Node) CompleteRequest(ctx *hc.Ctx, r *Request, st *Status) error {
 // been made and reports whether it took effect. A cancelled operation's
 // request completes with a Cancelled status, so awaiting tasks still run.
 func (n *Node) Cancel(ctx *hc.Ctx, r *Request) bool {
-	req := n.newRequest()
 	t := n.allocTask()
 	t.kind = kindCancel
 	t.cancelTarget = r
-	t.request = req
-	n.prescribe(t)
-	st := n.Wait(ctx, req)
-	return st.Cancelled
+	return n.Wait(ctx, n.post(t)).Cancelled
 }
 
 // Test is HCMPI_Test.
@@ -181,36 +156,31 @@ func (n *Node) TestAny(rs ...*Request) (int, *Status, bool) {
 // listener-task facility the runtime uses for DDDF homes and that the UTS
 // port uses to answer steal requests while computation workers are busy.
 func (n *Node) Listen(tag int, fn func(src int, payload []byte)) {
-	req := n.newRequest()
 	t := n.allocTask()
 	t.kind = kindListen
 	t.tag = tag
 	t.listenFn = fn
-	t.request = req
-	n.prescribe(t)
-	req.ddf.Await() // installation is synchronous and cheap
+	n.post(t).ddf.Await() // installation is synchronous and cheap
 }
 
-// SendReserved sends on a reserved tag through the communication worker;
-// protocol use only. It does not wait for delivery.
-func (n *Node) SendReserved(buf []byte, dest, tag int) *Request {
-	req := n.newRequest()
+// SendReserved posts a fire-and-forget send on a reserved tag through the
+// communication worker; protocol use only. It allocates no request, so
+// its outcome is not observable; protocols that must see a send's
+// failure use Isend, which accepts reserved tags too.
+func (n *Node) SendReserved(buf []byte, dest, tag int) {
 	t := n.allocTask()
 	t.kind = kindIsend
 	t.buf, t.peer, t.tag = buf, dest, tag
-	t.request = req
 	n.prescribe(t)
-	return req
 }
 
 // --- Collectives (blocking, per paper §II-C) ---
 
 // collective enqueues a collective comm task and blocks the computation
-// task (finish/await) until the communication worker has completed it.
+// task (Wait) until the communication worker has completed it; a nil ctx
+// blocks the calling goroutine instead.
 func (n *Node) collective(ctx *hc.Ctx, t *commTask) *Status {
-	req := n.newRequest()
-	t.request = req
-	n.prescribe(t)
+	req := n.post(t)
 	if ctx != nil {
 		return n.Wait(ctx, req)
 	}
@@ -218,11 +188,14 @@ func (n *Node) collective(ctx *hc.Ctx, t *commTask) *Status {
 }
 
 // Barrier blocks until every rank's computation reaches it
-// (HCMPI_Barrier).
-func (n *Node) Barrier(ctx *hc.Ctx) {
+// (HCMPI_Barrier). It returns the barrier's Status.Err: mpi.ErrRankFailed
+// when a rank died before entering (every survivor of that barrier learns
+// of it, and its later operations against the dead rank fail fast), or
+// mpi.ErrTimeout past Config.OpTimeout.
+func (n *Node) Barrier(ctx *hc.Ctx) error {
 	t := n.allocTask()
 	t.kind = kindBarrier
-	n.collective(ctx, t)
+	return n.collective(ctx, t).Err
 }
 
 // Bcast broadcasts root's buf into every rank's buf (HCMPI_Bcast).

@@ -148,6 +148,32 @@ func TestChaosCrashedRankFailsPending(t *testing.T) {
 	})
 }
 
+// Barrier reports a rank that died before entering to every survivor
+// through its Status.Err, and afterwards a send to the dead rank fails.
+func TestChaosBarrierReportsDeadRank(t *testing.T) {
+	skipShort(t)
+	const victim = 1
+	cfg := Config{Workers: 1, OpTimeout: 200 * time.Millisecond}
+	w := mpi.NewWorld(4)
+	w.FailRank(victim)
+	w.Run(func(c *mpi.Comm) {
+		n := NewNode(c, cfg)
+		n.Main(func(ctx *hc.Ctx) {
+			err := n.Barrier(ctx)
+			if n.Rank() == victim {
+				return // cut off: its own barrier ends at the watchdog
+			}
+			if !errors.Is(err, mpi.ErrRankFailed) {
+				t.Errorf("rank %d: Barrier = %v, want ErrRankFailed", n.Rank(), err)
+			}
+			if st := n.Send(ctx, []byte{1}, victim, 9); !errors.Is(st.Err, mpi.ErrRankFailed) {
+				t.Errorf("rank %d: send to dead rank: %+v", n.Rank(), st)
+			}
+		})
+		n.Close()
+	})
+}
+
 // A stalled rank is slow, not dead: with a deadline wider than the stall
 // everything completes cleanly.
 func TestChaosStalledRankRecovers(t *testing.T) {

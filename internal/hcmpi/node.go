@@ -175,17 +175,18 @@ func (s *Status) CountOf(dt mpi.Datatype) int {
 	return s.Bytes / dt.Size
 }
 
-// Request is the HCMPI request handle. It is implemented as a DDF (paper
-// §III): the communication worker puts the Status into it on completion,
-// so requests can appear anywhere a DDF can — most importantly in await
-// clauses of data-driven tasks.
+// Request is the HCMPI request handle. It is a DDF (paper §III),
+// embedded by value so a request is one allocation: the communication
+// worker puts the Status into it on completion, so requests can appear
+// anywhere a DDF can — most importantly in await clauses of data-driven
+// tasks — and Wait blocks on the same DDF directly.
 type Request struct {
-	ddf *hc.DDF
+	ddf hc.DDF
 }
 
 // DDF exposes the underlying data-driven future, for use in await
 // clauses.
-func (r *Request) DDF() *hc.DDF { return r.ddf }
+func (r *Request) DDF() *hc.DDF { return &r.ddf }
 
 // Test reports completion without blocking (HCMPI_Test).
 func (r *Request) Test() (*Status, bool) {
@@ -204,6 +205,9 @@ func (r *Request) GetStatus() (*Status, error) {
 	}
 	return v.(*Status), nil
 }
+
+// status returns the status of a request known to be complete.
+func (r *Request) status() *Status { return r.ddf.MustGet().(*Status) }
 
 // Config parameterizes a Node.
 type Config struct {
@@ -426,12 +430,9 @@ func (n *Node) Main(f func(*hc.Ctx)) {
 // computation workers.
 func (n *Node) Close() {
 	// Synchronize all ranks through a comm-worker barrier.
-	req := n.newRequest()
 	t := n.allocTask()
 	t.kind = kindBarrier
-	t.request = req
-	n.prescribe(t)
-	req.ddf.Await()
+	n.collective(nil, t)
 
 	n.stop.Store(true)
 	close(n.shutdown)
@@ -448,7 +449,14 @@ func (n *Node) ReleaseTask(t hc.Task) {
 	n.rt.Wake()
 }
 
-func (n *Node) newRequest() *Request { return &Request{ddf: hc.NewDDF()} }
+// post binds a fresh request to t, publishes t to the communication
+// worker and returns the request.
+func (n *Node) post(t *commTask) *Request {
+	req := &Request{}
+	t.request = req
+	n.prescribe(t)
+	return req
+}
 
 // allocTask takes a task from the AVAILABLE pool or allocates one
 // (ALLOCATED state).
@@ -879,8 +887,7 @@ func (n *Node) collectiveThunk(t *commTask) func() *Status {
 	return func() *Status {
 		switch kind {
 		case kindBarrier:
-			n.comm.Barrier()
-			return &Status{}
+			return &Status{Err: n.comm.Barrier()}
 		case kindBcast:
 			n.comm.Bcast(buf, peer)
 			return &Status{Bytes: len(buf), Payload: buf}
@@ -926,8 +933,9 @@ func (n *Node) completeP2P(t *commTask, st *mpi.Status) {
 }
 
 // completeLocal moves a task to COMPLETED, puts its status into the
-// request DDF (releasing awaiting DDTs onto the comm worker's deque), and
-// recycles the structure to AVAILABLE.
+// request DDF (releasing awaiting DDTs onto the comm worker's deque),
+// wakes any task blocked in Wait on the request, and recycles the
+// structure to AVAILABLE.
 func (n *Node) completeLocal(t *commTask, st *Status) {
 	if invariant.Enabled {
 		s := t.State()
@@ -941,5 +949,6 @@ func (n *Node) completeLocal(t *commTask, st *Status) {
 		if err := req.ddf.PutVia(n, st); err != nil {
 			panic("hcmpi: request completed twice: " + err.Error())
 		}
+		n.rt.Wake()
 	}
 }

@@ -53,9 +53,7 @@ func (n *Node) PhaserCreate(mode BarrierMode) *phaser.Phaser {
 		cfg.Hooks.OnFirstArrival = func(int64) {
 			t := n.allocTask()
 			t.kind = kindBarrier
-			req := n.newRequest()
-			t.request = req
-			n.prescribe(t)
+			req := n.post(t)
 			g.mu.Lock()
 			g.pending = req
 			g.mu.Unlock()
@@ -74,10 +72,7 @@ func (n *Node) PhaserCreate(mode BarrierMode) *phaser.Phaser {
 		cfg.Hooks.ExternalRelease = func(_ int64, local any) any {
 			t := n.allocTask()
 			t.kind = kindBarrier
-			req := n.newRequest()
-			t.request = req
-			n.prescribe(t)
-			req.ddf.Await()
+			n.collective(nil, t)
 			return local
 		}
 	default:
@@ -103,11 +98,7 @@ func (n *Node) AccumCreate(op mpi.Op, dt mpi.Datatype) *phaser.Phaser {
 				t := n.allocTask()
 				t.kind = kindAllreduce
 				t.buf, t.dt, t.op = buf, dt, op
-				req := n.newRequest()
-				t.request = req
-				n.prescribe(t)
-				st := req.ddf.Await().(*Status)
-				return decodeValue(st.Payload, dt)
+				return decodeValue(n.collective(nil, t).Payload, dt)
 			},
 		},
 	}

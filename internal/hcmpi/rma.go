@@ -24,7 +24,6 @@ type Win struct {
 func (n *Node) WinCreate(ctx *hc.Ctx, buf []byte) *Win {
 	// Window creation includes a barrier; run it on the communication
 	// worker like any collective.
-	req := n.newRequest()
 	var win *mpi.Win
 	t := n.allocTask()
 	t.kind = kindCustom
@@ -32,13 +31,7 @@ func (n *Node) WinCreate(ctx *hc.Ctx, buf []byte) *Win {
 		win = n.comm.WinCreate(buf)
 		return &Status{}
 	}
-	t.request = req
-	n.prescribe(t)
-	if ctx != nil {
-		n.Wait(ctx, req)
-	} else {
-		req.ddf.Await()
-	}
+	n.collective(ctx, t)
 	return &Win{n: n, win: win}
 }
 
@@ -66,32 +59,22 @@ func (w *Win) Accumulate(data []byte, dt mpi.Datatype, op mpi.Op, target, offset
 // oneSided enqueues the operation as a communication task; the comm
 // worker issues it and polls its completion like a point-to-point op.
 func (w *Win) oneSided(issue func() *mpi.Request) *Request {
-	req := w.n.newRequest()
 	t := w.n.allocTask()
 	t.kind = kindOneSided
 	t.issue = issue
-	t.request = req
-	w.n.prescribe(t)
-	return req
+	return w.n.post(t)
 }
 
 // Fence closes the access epoch (HCMPI_Win_fence): a collective through
 // the communication worker that blocks the calling computation task.
 func (w *Win) Fence(ctx *hc.Ctx) {
-	req := w.n.newRequest()
 	t := w.n.allocTask()
 	t.kind = kindCustom
 	t.custom = func() *Status {
 		w.win.Fence()
 		return &Status{}
 	}
-	t.request = req
-	w.n.prescribe(t)
-	if ctx != nil {
-		w.n.Wait(ctx, req)
-		return
-	}
-	req.ddf.Await()
+	w.n.collective(ctx, t)
 }
 
 // --- non-blocking collectives ---
@@ -101,10 +84,7 @@ func (w *Win) Fence(ctx *hc.Ctx) {
 func (n *Node) IBarrier() *Request {
 	t := n.allocTask()
 	t.kind = kindBarrier
-	req := n.newRequest()
-	t.request = req
-	n.prescribe(t)
-	return req
+	return n.post(t)
 }
 
 // IBcast starts a non-blocking broadcast of root's buf (HCMPI_Ibcast).
@@ -113,10 +93,7 @@ func (n *Node) IBcast(buf []byte, root int) *Request {
 	t := n.allocTask()
 	t.kind = kindBcast
 	t.buf, t.peer = buf, root
-	req := n.newRequest()
-	t.request = req
-	n.prescribe(t)
-	return req
+	return n.post(t)
 }
 
 // IAllreduce starts a non-blocking allreduce (HCMPI_Iallreduce); the
@@ -125,8 +102,5 @@ func (n *Node) IAllreduce(data []byte, dt mpi.Datatype, op mpi.Op) *Request {
 	t := n.allocTask()
 	t.kind = kindAllreduce
 	t.buf, t.dt, t.op = data, dt, op
-	req := n.newRequest()
-	t.request = req
-	n.prescribe(t)
-	return req
+	return n.post(t)
 }

@@ -23,9 +23,11 @@ func collTag(seq, slot int) int {
 }
 
 // Barrier blocks until every rank has entered it (dissemination
-// algorithm, ceil(log2 p) rounds).
-func (c *Comm) Barrier() {
-	c.barrierSeq(c.nextCollSeq())
+// algorithm, ceil(log2 p) rounds). It returns ErrRankFailed on every
+// survivor when a rank died before entering; afterwards each survivor's
+// operations against the dead rank fail fast.
+func (c *Comm) Barrier() error {
+	return c.barrierSeq(c.nextCollSeq())
 }
 
 // Bcast broadcasts root's buf to every rank's buf (binomial tree: the

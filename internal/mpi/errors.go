@@ -29,6 +29,17 @@ var (
 // failed reports whether peer rank r is known to have crashed.
 func (c *Comm) failed(r int) bool { return c.failedFn != nil && c.failedFn(r) }
 
+// recordFailure feeds a failure this rank learned from a peer, rather
+// than observed on its own links, into the failure detector, so its next
+// operation against rank r fails with ErrRankFailed. The simulated
+// network's detector is global and already knows; the TCP mesh marks the
+// peer failed.
+func (c *Comm) recordFailure(r int) {
+	if c.markFailedFn != nil {
+		c.markFailedFn(r)
+	}
+}
+
 // SetDeadline sets the default per-operation deadline applied to every
 // subsequent Isend/Irecv-family call on this endpoint; 0 (the default)
 // disables it. Explicit IsendTimeout/IrecvTimeout deadlines take

@@ -162,6 +162,34 @@ func TestCrashedRankFailsPending(t *testing.T) {
 	}
 }
 
+// The barrier's fail-stop contract: with rank 1 of 4 dead before the
+// barrier, every survivor's Barrier and Ibarrier report ErrRankFailed.
+// Rank 0 never receives from rank 1 in the dissemination pattern, so it
+// can only learn of the failure from the tokens its live peers forward.
+func TestBarrierReportsDeadRankToEverySurvivor(t *testing.T) {
+	const victim = 1
+	w := NewWorld(4)
+	defer w.Close()
+	w.FailRank(victim)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		if r == victim {
+			continue
+		}
+		wg.Add(1)
+		go func(c *Comm) {
+			defer wg.Done()
+			if err := c.Barrier(); !errors.Is(err, ErrRankFailed) {
+				t.Errorf("rank %d: Barrier = %v, want ErrRankFailed", c.Rank(), err)
+			}
+			if st := c.Ibarrier().WaitStatus(); !errors.Is(st.Err, ErrRankFailed) {
+				t.Errorf("rank %d: Ibarrier status %+v, want ErrRankFailed", c.Rank(), st)
+			}
+		}(w.Comm(r))
+	}
+	wg.Wait()
+}
+
 // A stalled (slow) rank delays traffic but loses nothing: operations with
 // generous deadlines complete normally once the stall window passes.
 func TestStalledRankRecovers(t *testing.T) {

@@ -183,8 +183,10 @@ type Comm struct {
 	// netsim fast path and the sendFn slow path.
 	sendHook func(req *Request, buf []byte, dest, tag int)
 	// failedFn reports whether a peer rank has crashed (nil: no failure
-	// detector).
-	failedFn func(rank int) bool
+	// detector); markFailedFn, when non-nil, tells the detector about a
+	// crash learned second-hand (see recordFailure).
+	failedFn     func(rank int) bool
+	markFailedFn func(rank int)
 	// deadline is the default per-operation deadline in nanoseconds
 	// (Comm.SetDeadline); 0 disables it.
 	deadline atomic.Int64

@@ -1,5 +1,10 @@
 package mpi
 
+import (
+	"encoding/binary"
+	"errors"
+)
+
 // Non-blocking collectives. The paper (2013) predates MPI-3's official
 // non-blocking collectives and says HCMPI "will add support ... once they
 // become part of the MPI standard"; they since have (MPI_Ibarrier,
@@ -10,34 +15,64 @@ package mpi
 // blocking and non-blocking collectives can be freely mixed as long as
 // every rank issues them in the same order.
 
-// Ibarrier starts a non-blocking barrier.
+// Ibarrier starts a non-blocking barrier; its completion Status carries
+// the error Barrier would return.
 func (c *Comm) Ibarrier() *Request {
 	seq := c.nextCollSeq()
 	req := c.newRequest(reqSend)
 	go func() {
-		c.barrierSeq(seq)
-		req.complete(Status{})
+		req.complete(Status{Err: c.barrierSeq(seq)})
 	}()
 	return req
 }
 
 // barrierSeq is the dissemination barrier body for a pre-taken sequence
-// number.
-func (c *Comm) barrierSeq(seq int) {
+// number. Each round's token carries the failure this rank knows of, as
+// failed rank + 1 (0: none). A rank whose receive from a peer fails with
+// ErrRankFailed, or whose incoming token names a failed rank, forwards
+// it in every later token. The news therefore reaches every survivor in
+// this same barrier, along the paths the dead rank's own arrival would
+// have taken. A survivor that learns of a failure records it in its
+// failure detector, so its next operation against the dead rank fails
+// fast, and returns ErrRankFailed.
+func (c *Comm) barrierSeq(seq int) error {
 	p := c.size
 	if p == 1 {
-		return
+		return nil
 	}
 	me := c.rank
-	var empty [1]byte
+	failed := -1
+	var err error
+	var tok [8]byte
+	in, out := tok[:4], tok[4:]
 	for k, round := 1, 0; k < p; k, round = k<<1, round+1 {
 		to := (me + k) % p
 		from := (me - k + p) % p
-		r := c.irecv(empty[:], from, collTag(seq, round), false)
-		c.isendRetry(nil, to, collTag(seq, round))
-		r.WaitStatus()
+		r := c.irecv(in, from, collTag(seq, round), false)
+		binary.LittleEndian.PutUint32(out, uint32(failed+1))
+		c.isendRetry(out, to, collTag(seq, round))
+		st := r.WaitStatus()
 		r.Free()
+		switch {
+		case errors.Is(st.Err, ErrRankFailed):
+			if failed < 0 {
+				failed = from
+			}
+		case st.Err != nil:
+			if err == nil {
+				err = st.Err
+			}
+		default:
+			if f := int(binary.LittleEndian.Uint32(in)) - 1; f >= 0 && failed < 0 {
+				failed = f
+			}
+		}
 	}
+	if failed >= 0 {
+		c.recordFailure(failed)
+		return ErrRankFailed
+	}
+	return err
 }
 
 // Ibcast starts a non-blocking broadcast of root's buf into every rank's

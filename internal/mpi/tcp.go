@@ -216,6 +216,11 @@ func Distributed(rank int, addrs []string, opts ...DistOption) (*Comm, io.Closer
 	c.ring = cfg.tracer.Register(rank, trace.MPITid, "mpi", trace.TrackMPI)
 	c.sendHook = m.send
 	c.failedFn = m.peerFailed
+	c.markFailedFn = func(r int) {
+		if p := m.peers[r]; p != nil {
+			m.markPeerFailed(p)
+		}
+	}
 	m.comm = c
 
 	now := time.Now().UnixNano()

@@ -225,6 +225,37 @@ func TestTCPPeerFailure(t *testing.T) {
 	}
 }
 
+// TestTCPBarrierReportsDeadRank is the barrier's fail-stop contract over
+// TCP: with rank 1 of 4 gone before the barrier, every survivor's Barrier
+// returns ErrRankFailed, and each survivor's next send to rank 1 fails
+// fast. Rank 0 never receives from rank 1 in the dissemination pattern;
+// if the barrier did not carry the failure, rank 0 could leave it before
+// its own reader saw the connection drop and hand that send to the
+// kernel as a success.
+func TestTCPBarrierReportsDeadRank(t *testing.T) {
+	const victim = 1
+	comms, closers := bringUp(t, 4, nil)
+	closers[victim].Close()
+	var wg sync.WaitGroup
+	for r, c := range comms {
+		if r == victim {
+			continue
+		}
+		defer closers[r].Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := c.Barrier(); err != ErrRankFailed {
+				t.Errorf("rank %d: Barrier = %v, want ErrRankFailed", r, err)
+			}
+			if st := c.Isend([]byte{1}, victim, 7).WaitStatus(); st.Err != ErrRankFailed {
+				t.Errorf("rank %d: send to dead rank after barrier: %+v, want ErrRankFailed", r, st)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestTCPHeartbeatDetectsSilentPeer covers the missed-heartbeat path:
 // rank 1 keeps its connection open but never speaks (keepalives
 // disabled), and rank 0's detector must declare it failed.
