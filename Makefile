@@ -40,9 +40,10 @@ conformance:
 smoke-distributed:
 	$(GO) test -count=1 -v ./cmd/hcmpirun/
 
-# Static analysis gate: go vet plus hclint's twelve HCMPI-specific
-# analyzers — five intra-procedural (atomic-mix, lifecycle, ddf-once,
-# hotpath-alloc, test-goroutine), four over the module call graph
+# Static analysis gate: go vet (whose testinggoroutine pass catches
+# t.Fatal off the test goroutine) plus hclint's eleven HCMPI-specific
+# analyzers — four intra-procedural (atomic-mix, lifecycle, ddf-once,
+# hotpath-alloc), four over the module call graph
 # (lock-order, nonblocking, tag-space, goroutine-leak), and three
 # dataflow analyzers over per-function CFGs (request-leak,
 # buffer-reuse, collective-divergence). -stats prints per-analyzer
@@ -67,8 +68,7 @@ lint-sarif:
 # `go test` harness too.
 LINT_FIXTURES = \
 	atomic-mix:atomicmix lifecycle:lifecycle ddf-once:ddfonce \
-	hotpath-alloc:hotpath test-goroutine:testgoroutine \
-	lock-order:lockorder nonblocking:nonblocking \
+	hotpath-alloc:hotpath lock-order:lockorder nonblocking:nonblocking \
 	tag-space:tagspace goroutine-leak:goroutineleak \
 	request-leak:requestleak buffer-reuse:bufferreuse \
 	collective-divergence:collectivediv

@@ -140,7 +140,7 @@ func (h *Handle) TryPut(ctx *hc.Ctx, data []byte) error {
 	if err := h.e.ddf.TryPut(ctx, data); err != nil {
 		return err
 	}
-	h.s.node.SendReserved(encodeGuidData(h.guid, data), h.Home(), tagPutFwd)
+	h.s.node.SendDetached(encodeGuidData(h.guid, data), h.Home(), tagPutFwd)
 	return nil
 }
 
@@ -158,7 +158,7 @@ func (s *Space) homePut(ctx *hc.Ctx, guid int64, data []byte) error {
 	s.mu.Unlock()
 	for _, r := range pending {
 		s.dataSent.Add(1)
-		s.node.SendReserved(encodeGuidData(guid, data), r, tagData)
+		s.node.SendDetached(encodeGuidData(guid, data), r, tagData)
 	}
 	return nil
 }
@@ -227,7 +227,7 @@ func (s *Space) register(h *Handle) {
 	h.e.registered = true
 	s.registersSent.Add(1)
 	s.mu.Unlock()
-	s.node.SendReserved(encodeGuid(h.guid), h.Home(), tagRegister)
+	s.node.SendDetached(encodeGuid(h.guid), h.Home(), tagRegister)
 }
 
 // --- listener callbacks (run on the communication worker) ---
@@ -241,7 +241,7 @@ func (s *Space) onRegister(src int, payload []byte) {
 		data := e.ddf.MustGet().([]byte)
 		s.dataSent.Add(1)
 		s.mu.Unlock()
-		s.node.SendReserved(encodeGuidData(guid, data), src, tagData)
+		s.node.SendDetached(encodeGuidData(guid, data), src, tagData)
 		return
 	}
 	e.pending = append(e.pending, src)
@@ -279,7 +279,7 @@ func (s *Space) onPutFwd(src int, payload []byte) {
 			continue // the putter already has the value
 		}
 		s.dataSent.Add(1)
-		s.node.SendReserved(encodeGuidData(guid, data), r, tagData)
+		s.node.SendDetached(encodeGuidData(guid, data), r, tagData)
 	}
 }
 

@@ -496,7 +496,7 @@ func (s *Scheduler) fail(peer int, cause error) {
 	for r := 0; r < s.node.Size(); r++ {
 		if r != s.node.Rank() && s.isAlive(r) {
 			// Best effort, untracked: the recipients are condemned anyway.
-			s.node.SendReserved(encodeDone(doneFailed, peer), r, tagDone)
+			s.node.SendDetached(encodeDone(doneFailed, peer), r, tagDone)
 		}
 	}
 	s.done.Store(true)
@@ -546,7 +546,7 @@ func (s *Scheduler) tryToken() {
 		s.ring.Emit(trace.EvDistDone, 0, 0)
 		for r := 0; r < s.node.Size(); r++ {
 			if r != s.node.Rank() && s.isAlive(r) {
-				s.node.SendReserved(encodeDone(doneClean, -1), r, tagDone)
+				s.node.SendDetached(encodeDone(doneClean, -1), r, tagDone)
 			}
 		}
 		s.done.Store(true)

@@ -163,11 +163,10 @@ func (n *Node) Listen(tag int, fn func(src int, payload []byte)) {
 	n.post(t).ddf.Await() // installation is synchronous and cheap
 }
 
-// SendReserved posts a fire-and-forget send on a reserved tag through the
-// communication worker; protocol use only. It allocates no request, so
-// its outcome is not observable; protocols that must see a send's
-// failure use Isend, which accepts reserved tags too.
-func (n *Node) SendReserved(buf []byte, dest, tag int) {
+// SendDetached is Isend without a request: nothing awaits the outcome,
+// and a failure is only counted (comm_failures). A negative tag takes the
+// reserved path for runtime protocols.
+func (n *Node) SendDetached(buf []byte, dest, tag int) {
 	t := n.allocTask()
 	t.kind = kindIsend
 	t.buf, t.peer, t.tag = buf, dest, tag

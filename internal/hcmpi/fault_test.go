@@ -174,6 +174,33 @@ func TestChaosBarrierReportsDeadRank(t *testing.T) {
 	})
 }
 
+// A detached send has no request, so its failure against a dead rank is
+// only counted: comm_failures moves and nothing hangs.
+func TestChaosSendDetachedFailureCounted(t *testing.T) {
+	skipShort(t)
+	const victim = 1
+	cfg := Config{Workers: 1, OpTimeout: 200 * time.Millisecond}
+	w := mpi.NewWorld(2)
+	w.FailRank(victim)
+	w.Run(func(c *mpi.Comm) {
+		n := NewNode(c, cfg)
+		n.Main(func(ctx *hc.Ctx) {
+			if n.Rank() == victim {
+				return
+			}
+			n.SendDetached([]byte{1}, victim, 9)
+			deadline := time.Now().Add(5 * time.Second)
+			for n.StatsSnapshot().Failures == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := n.Metrics().Counter("comm_failures").Load(); got != 1 {
+				t.Errorf("comm_failures = %d after a detached send to a dead rank, want 1", got)
+			}
+		})
+		n.Close()
+	})
+}
+
 // A stalled rank is slow, not dead: with a deadline wider than the stall
 // everything completes cleanly.
 func TestChaosStalledRankRecovers(t *testing.T) {

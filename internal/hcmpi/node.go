@@ -84,8 +84,10 @@ const (
 	// kindCancel asks the communication worker to cancel an outstanding
 	// operation identified by its HCMPI request (HCMPI_Cancel).
 	kindCancel
-	// kindOneSided issues an RMA operation (request polled like p2p).
-	kindOneSided
+	// kindGet issues an RMA Get (request polled like p2p).
+	kindGet
+	// kindWinWrite issues a request-less RMA Put/Accumulate.
+	kindWinWrite
 	// kindCustom runs an arbitrary blocking operation on the collective
 	// runner in dispatch order (window creation, fence).
 	kindCustom
@@ -111,8 +113,9 @@ type commTask struct {
 
 	req     *mpi.Request // underlying MPI request while ACTIVE
 	request *Request     // HCMPI-level handle to complete
-	// issue starts a one-sided operation (kindOneSided).
-	issue func() *mpi.Request
+	// get starts an RMA Get (kindGet); write issues a Put/Accumulate.
+	get   func() *mpi.Request
+	write func()
 	// custom runs a blocking operation on the collective runner
 	// (kindCustom) and produces the completion status.
 	custom func() *Status
@@ -142,7 +145,7 @@ func (t *commTask) reset() {
 	t.takeAll = false
 	t.listenFn = nil
 	t.req, t.request = nil, nil
-	t.issue, t.custom = nil, nil
+	t.get, t.write, t.custom = nil, nil, nil
 	t.cancelTarget = nil
 	t.retries, t.retryAt, t.deadline = 0, time.Time{}, time.Time{}
 }
@@ -807,12 +810,16 @@ func (n *Node) dispatch(t *commTask) {
 		l.req = n.comm.IrecvReserved(mpi.AnySource, t.tag)
 		n.listeners = append(n.listeners, l)
 		n.completeLocal(t, &Status{})
-	case kindOneSided:
+	case kindGet:
 		n.stats.sends.Add(1)
-		t.req = t.issue()
+		t.req = t.get()
 		n.traceState(t, StateActive)
 		n.armDeadline(t)
 		n.active = append(n.active, t)
+	case kindWinWrite:
+		n.stats.sends.Add(1)
+		t.write()
+		n.completeLocal(t, nil) // no request: nothing to publish
 	case kindBarrier, kindBcast, kindReduce, kindAllreduce, kindScan,
 		kindGather, kindAllgather, kindScatter, kindCustom:
 		n.stats.collectives.Add(1)
@@ -914,9 +921,9 @@ func (n *Node) collectiveThunk(t *commTask) func() *Status {
 	}
 }
 
-// completeP2P publishes a point-to-point (or one-sided) completion. The
-// MPI request handle is recycled once its payload (a slice that
-// survives the handle) has been extracted.
+// completeP2P publishes a point-to-point (or Get) completion. The MPI
+// request handle is recycled once its payload (a slice that survives the
+// handle) has been extracted.
 func (n *Node) completeP2P(t *commTask, st *mpi.Status) {
 	hst := &Status{Source: st.Source, Tag: st.Tag, Bytes: st.Bytes, Cancelled: st.Cancelled, Err: st.Err}
 	if t.takeAll || t.req.Payload() != nil {
@@ -924,9 +931,9 @@ func (n *Node) completeP2P(t *commTask, st *mpi.Status) {
 	}
 	if t.kind == kindIsend || t.kind == kindIrecv {
 		// Point-to-point handles are held by this worker alone and can be
-		// recycled. One-sided handles are also tracked by their window's
-		// epoch list (mpi.Win.Fence waits on them later), so they must
-		// stay live until the epoch closes — they fall to the GC instead.
+		// recycled. A Get handle is also tracked by its window (mpi.Win.Fence
+		// waits on it later), so it must stay live until the epoch closes:
+		// it falls to the GC instead.
 		t.req.Free()
 	}
 	n.completeLocal(t, hst)

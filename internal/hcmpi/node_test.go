@@ -42,12 +42,29 @@ func TestSendRecvBlocking(t *testing.T) {
 	})
 }
 
+// A detached send on a user tag takes Isend's path through the
+// communication worker and is received like any message.
+func TestSendDetachedUserTag(t *testing.T) {
+	runNodes(t, 2, 2, func(n *Node, ctx *hc.Ctx) {
+		switch n.Rank() {
+		case 0:
+			n.SendDetached([]byte("detached"), 1, 11)
+		case 1:
+			buf := make([]byte, 16)
+			st := n.Recv(ctx, buf, 0, 11)
+			if st.Err != nil || st.Tag != 11 || string(buf[:st.Bytes]) != "detached" {
+				t.Errorf("recv of detached send: %+v %q", st, buf[:st.Bytes])
+			}
+		}
+	})
+}
+
 // Paper Fig. 3: a finish around HCMPI_Irecv implements HCMPI_Recv.
 func TestFinishAroundIrecv(t *testing.T) {
 	runNodes(t, 2, 2, func(n *Node, ctx *hc.Ctx) {
 		switch n.Rank() {
 		case 0:
-			n.Isend([]byte{42}, 1, 0) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			n.SendDetached([]byte{42}, 1, 0)
 		case 1:
 			buf := make([]byte, 1)
 			var asyncRan atomic.Bool
@@ -70,7 +87,7 @@ func TestAwaitModel(t *testing.T) {
 	runNodes(t, 2, 2, func(n *Node, ctx *hc.Ctx) {
 		switch n.Rank() {
 		case 0:
-			n.Isend([]byte("data"), 1, 3) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			n.SendDetached([]byte("data"), 1, 3)
 		case 1:
 			buf := make([]byte, 4)
 			done := make(chan string, 1)
@@ -92,7 +109,7 @@ func TestWaitAndStatusModel(t *testing.T) {
 	runNodes(t, 2, 2, func(n *Node, ctx *hc.Ctx) {
 		switch n.Rank() {
 		case 0:
-			n.Isend(mpi.EncodeInt64s([]int64{1, 2, 3, 4}), 1, 0) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			n.SendDetached(mpi.EncodeInt64s([]int64{1, 2, 3, 4}), 1, 0)
 		case 1:
 			buf := make([]byte, 64)
 			req := n.Irecv(buf, 0, 0)
@@ -113,7 +130,7 @@ func TestGetStatusBeforeCompletionIsError(t *testing.T) {
 	runNodes(t, 2, 1, func(n *Node, ctx *hc.Ctx) {
 		if n.Rank() != 1 {
 			n.Barrier(ctx)
-			n.Isend([]byte{1}, 1, 0) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			n.SendDetached([]byte{1}, 1, 0)
 			return
 		}
 		buf := make([]byte, 1)
@@ -132,7 +149,7 @@ func TestWaitAllAndWaitAny(t *testing.T) {
 		switch n.Rank() {
 		case 0:
 			for i := 0; i < k; i++ {
-				n.Isend([]byte{byte(i)}, 1, i) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+				n.SendDetached([]byte{byte(i)}, 1, i)
 			}
 		case 1:
 			bufs := make([][]byte, k)
@@ -293,7 +310,7 @@ func TestListenHandlesConcurrentRequests(t *testing.T) {
 		n.Barrier(ctx) // listeners installed everywhere
 		for r := 0; r < ranks; r++ {
 			if r != n.Rank() {
-				n.SendReserved([]byte{1}, r, tagPing)
+				n.SendDetached([]byte{1}, r, tagPing)
 			}
 		}
 		// Wait until every peer's ping arrived.
@@ -315,7 +332,7 @@ func TestOverlapComputationWithCommunication(t *testing.T) {
 	runNodesNet(t, 2, 2, netsim.Params{InterLatency: 3 * time.Millisecond}, func(n *Node, ctx *hc.Ctx) {
 		switch n.Rank() {
 		case 0:
-			n.Isend([]byte{1}, 1, 0) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			n.SendDetached([]byte{1}, 1, 0)
 		case 1:
 			buf := make([]byte, 1)
 			var computed atomic.Int64
@@ -357,7 +374,7 @@ func TestManyNodesManyWorkers(t *testing.T) {
 		prev := (n.Rank() - 1 + ranks) % ranks
 		buf := make([]byte, 8)
 		req := n.Irecv(buf, prev, 0)
-		n.Isend(mpi.EncodeInt64(int64(n.Rank())), next, 0) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+		n.SendDetached(mpi.EncodeInt64(int64(n.Rank())), next, 0)
 		n.Wait(ctx, req)
 		if mpi.DecodeInt64(buf) != int64(prev) {
 			t.Errorf("rank %d got %d want %d", n.Rank(), mpi.DecodeInt64(buf), prev)

@@ -38,43 +38,45 @@ func (n *Node) WinCreate(ctx *hc.Ctx, buf []byte) *Win {
 // Buf returns the locally exposed window buffer.
 func (w *Win) Buf() []byte { return w.win.Buf() }
 
-// Put starts a one-sided write into target's window (HCMPI_Put). The
-// returned request completes when the write has been applied remotely.
-func (w *Win) Put(data []byte, target, offset int) *Request {
-	return w.oneSided(func() *mpi.Request { return w.win.Put(data, target, offset) })
+// Put starts a one-sided write into target's window (HCMPI_Put). Like
+// MPI_Put it has no request: the next Fence completes it, reporting any
+// failure, and data must stay untouched until then.
+func (w *Win) Put(data []byte, target, offset int) {
+	w.write(func() { w.win.Put(data, target, offset) })
 }
 
 // Get starts a one-sided read of n bytes from target's window
 // (HCMPI_Get); the data arrives in the completion status payload.
 func (w *Win) Get(n, target, offset int) *Request {
-	return w.oneSided(func() *mpi.Request { return w.win.Get(n, target, offset) })
-}
-
-// Accumulate starts a one-sided reduction into target's window
-// (HCMPI_Accumulate).
-func (w *Win) Accumulate(data []byte, dt mpi.Datatype, op mpi.Op, target, offset int) *Request {
-	return w.oneSided(func() *mpi.Request { return w.win.Accumulate(data, dt, op, target, offset) })
-}
-
-// oneSided enqueues the operation as a communication task; the comm
-// worker issues it and polls its completion like a point-to-point op.
-func (w *Win) oneSided(issue func() *mpi.Request) *Request {
 	t := w.n.allocTask()
-	t.kind = kindOneSided
-	t.issue = issue
+	t.kind = kindGet
+	t.get = func() *mpi.Request { return w.win.Get(n, target, offset) }
 	return w.n.post(t)
 }
 
+// Accumulate starts a one-sided reduction into target's window
+// (HCMPI_Accumulate); like Put it has no request.
+func (w *Win) Accumulate(data []byte, dt mpi.Datatype, op mpi.Op, target, offset int) {
+	w.write(func() { w.win.Accumulate(data, dt, op, target, offset) })
+}
+
+// write posts a request-less comm task that issues the window write.
+func (w *Win) write(issue func()) {
+	t := w.n.allocTask()
+	t.kind = kindWinWrite
+	t.write = issue
+	w.n.prescribe(t)
+}
+
 // Fence closes the access epoch (HCMPI_Win_fence): a collective through
-// the communication worker that blocks the calling computation task.
-func (w *Win) Fence(ctx *hc.Ctx) {
+// the communication worker that blocks the calling computation task. It
+// returns the first error among this rank's epoch writes, else the
+// closing barrier's (mpi.ErrRankFailed when a target or a rank died).
+func (w *Win) Fence(ctx *hc.Ctx) error {
 	t := w.n.allocTask()
 	t.kind = kindCustom
-	t.custom = func() *Status {
-		w.win.Fence()
-		return &Status{}
-	}
-	w.n.collective(ctx, t)
+	t.custom = func() *Status { return &Status{Err: w.win.Fence()} }
+	return w.n.collective(ctx, t).Err
 }
 
 // --- non-blocking collectives ---

@@ -2,29 +2,22 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// AtomicMix reports variables (struct fields or package-level vars) that
-// are accessed through sync/atomic helper functions somewhere and read
-// or written plainly somewhere else. Mixing the two voids the atomics:
-// the plain access races with every atomic one, and the race detector
-// only notices when a run actually interleaves them. The new-style typed
-// atomics (atomic.Int64 &c.) make this mistake unrepresentable; this
-// check keeps the old helper style honest wherever it (re)appears.
+// AtomicMix bans the sync/atomic package-level helpers (atomic.AddInt64
+// &c.). A variable they reach is plain everywhere else, so one forgotten
+// plain access races with every atomic one, and -race only notices when a
+// run interleaves them. The typed atomics (atomic.Int64 &c.) make that
+// mixed access unrepresentable, so they are the only sanctioned form.
 var AtomicMix = &Analyzer{
 	Name: "atomic-mix",
-	Doc:  "a field accessed via sync/atomic helpers must never be read/written plainly",
+	Doc:  "use the typed sync/atomic values, never the package-level helpers",
 	Run:  runAtomicMix,
 }
 
 func runAtomicMix(p *Package) []Finding {
-	// Pass 1: every &x argument to a sync/atomic function marks x's
-	// variable as atomically accessed; the exact &x operand nodes are
-	// exempt from pass 2.
-	atomicAt := map[*types.Var]token.Position{}
-	exempt := map[ast.Expr]bool{}
+	var out []Finding
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -35,58 +28,9 @@ func runAtomicMix(p *Package) []Finding {
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
 				return true
 			}
-			// Only the old-style package-level helpers (atomic.AddInt64
-			// &c.) mark their &x operand as an atomic location. Methods
-			// of the typed atomics take &x as a stored *value*
-			// (atomic.Pointer.Store(&q.stub)), not as a location.
-			if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-				return true
-			}
-			for _, arg := range call.Args {
-				u, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || u.Op != token.AND {
-					continue
-				}
-				if v := fieldVar(p, u.X); v != nil {
-					if _, seen := atomicAt[v]; !seen {
-						atomicAt[v] = p.position(u.X.Pos())
-					}
-					exempt[u.X] = true
-				}
-			}
-			return true
-		})
-	}
-	if len(atomicAt) == 0 {
-		return nil
-	}
-
-	// Pass 2: any other occurrence of a marked variable is a plain
-	// access — a read, a write, or an alias escaping to non-atomic code.
-	var out []Finding
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			expr, ok := n.(ast.Expr)
-			if !ok {
-				return true
-			}
-			if exempt[expr] {
-				return false
-			}
-			switch expr.(type) {
-			case *ast.SelectorExpr, *ast.Ident:
-			default:
-				return true
-			}
-			v := fieldVar(p, expr)
-			if v == nil {
-				return true
-			}
-			if at, ok := atomicAt[v]; ok {
-				out = append(out, p.findingf("atomic-mix", expr.Pos(),
-					"%s is accessed with sync/atomic (e.g. %s:%d) but read/written plainly here",
-					v.Name(), relBase(at.Filename), at.Line))
-				return false
+			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil {
+				out = append(out, p.findingf("atomic-mix", call.Pos(),
+					"atomic.%s: use a typed atomic (atomic.Int64, atomic.Pointer, ...) so no plain access to the variable can exist", fn.Name()))
 			}
 			return true
 		})

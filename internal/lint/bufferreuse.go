@@ -7,7 +7,7 @@ import (
 )
 
 // BufferReuse enforces the nonblocking protocol's second obligation:
-// a buffer handed to Isend/Irecv/Win.Put belongs to the library until
+// a buffer handed to Isend/Irecv belongs to the library until
 // the matching completion. Touching it earlier is the classic
 // reuse-after-post race (Sala et al. §3.2; Schuchart et al. §2): the
 // transport may still be reading (send) or writing (recv) the memory,
@@ -56,7 +56,7 @@ func runBufferReuse(pkgs []*Package) []Finding {
 // IrecvBytes/Get.
 func postBufferArg(fn *types.Func, call *ast.CallExpr) (ast.Expr, bool) {
 	switch fn.Name() {
-	case "Isend", "Irecv", "Ibcast", "Iallreduce", "Put", "Accumulate":
+	case "Isend", "Irecv", "Ibcast", "Iallreduce":
 		if len(call.Args) > 0 {
 			return call.Args[0], true
 		}

@@ -12,8 +12,8 @@
 // here machine-checks one of those invariants on every build, instead of
 // hoping a -race run gets lucky:
 //
-//   - atomic-mix: a field accessed through sync/atomic helpers anywhere
-//     must never be read or written plainly.
+//   - atomic-mix: no sync/atomic package-level helpers; the typed
+//     atomics make a plain access to an atomic variable unrepresentable.
 //   - lifecycle: comm-task state changes only through Node.traceState,
 //     and no commTask use may follow a retiring call in the same block.
 //   - ddf-once: two Put/PutVia calls on the same DDF along one control
@@ -21,8 +21,6 @@
 //   - hotpath-alloc: functions annotated //hclint:hotpath must stay
 //     allocation-free (no composite literals, append, closures, fmt, or
 //     interface boxing).
-//   - test-goroutine: t.Fatal/FailNow/Skip inside a go statement in
-//     _test.go files (testing.T.FailNow must run on the test goroutine).
 //
 // See DESIGN.md §10 for the invariant catalogue and how to add an
 // analyzer.
@@ -88,7 +86,7 @@ type Analyzer struct {
 // All returns the default analyzer suite, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicMix, Lifecycle, DDFOnce, HotpathAlloc, TestGoroutine,
+		AtomicMix, Lifecycle, DDFOnce, HotpathAlloc,
 		LockOrder, Nonblocking, TagSpace, GoroutineLeak,
 		RequestLeak, BufferReuse, CollectiveDivergence,
 	}

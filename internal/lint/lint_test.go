@@ -2,6 +2,7 @@ package lint
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +17,6 @@ var fixtures = map[string]string{
 	"lifecycle":      "lifecycle",
 	"ddf-once":       "ddfonce",
 	"hotpath-alloc":  "hotpath",
-	"test-goroutine": "testgoroutine",
 	"lock-order":     "lockorder",
 	"nonblocking":    "nonblocking",
 	"tag-space":      "tagspace",
@@ -83,8 +83,14 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
+// waiverBudget caps the //hclint:allow comments the live tree carries
+// outside the analyzer's own packages. Like an allocation pin it only
+// moves on purpose: a new waiver needs a deliberate bump here.
+const waiverBudget = 9
+
 // TestLiveTreeClean loads the real module and asserts the full analyzer
-// suite reports nothing: `make lint` must stay green.
+// suite reports nothing, within the waiver budget: `make lint` must stay
+// green.
 func TestLiveTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -111,6 +117,23 @@ func TestLiveTreeClean(t *testing.T) {
 	}
 	for _, f := range RunAll(pkgs, All()) {
 		t.Errorf("live tree finding: %s", f)
+	}
+	waivers := map[string]bool{}
+	for _, p := range pkgs {
+		for _, ac := range p.allowComments() {
+			rel, err := filepath.Rel(root, ac.File)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel = filepath.ToSlash(rel)
+			if !strings.HasPrefix(rel, "internal/lint/") && !strings.HasPrefix(rel, "cmd/hclint/") {
+				waivers[fmt.Sprintf("%s:%d", rel, ac.Line)] = true
+			}
+		}
+	}
+	if len(waivers) > waiverBudget {
+		t.Errorf("%d //hclint:allow waivers in the live tree, budget %d: fix the finding or raise waiverBudget deliberately",
+			len(waivers), waiverBudget)
 	}
 }
 

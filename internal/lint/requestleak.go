@@ -13,9 +13,8 @@ import (
 // requests it also starves the free-list. Three shapes are reported:
 //
 //  1. A post whose result is discarded outright (`c.Isend(buf, d, t)`
-//     as a statement): nobody can ever complete it. Fire-and-forget
-//     control messages that the transport completes autonomously are
-//     sanctioned case by case with //hclint:allow.
+//     as a statement): nobody can ever complete it. A fire-and-forget
+//     message says so with SendDetached, whose request the runtime owns.
 //  2. A post stored in a local that, on *some* path to return, is
 //     neither completed nor escapes (backward may-analysis over the
 //     CFG). `defer r.Wait()` counts as completion at the registration
@@ -59,10 +58,6 @@ func isRequestType(t types.Type) bool {
 	return n != nil && n.Obj().Name() == "Request"
 }
 
-// rmaPostNames are the one-sided posts, valid only on a Win receiver
-// (Put/Get are far too common as names to match on any type).
-var rmaPostNames = map[string]bool{"Put": true, "Accumulate": true, "Get": true}
-
 // postCallOf resolves call to a nonblocking post: a method named like
 // a post whose single result is a request.
 func postCallOf(p *Package, call *ast.CallExpr) (*types.Func, bool) {
@@ -75,11 +70,10 @@ func postCallOf(p *Package, call *ast.CallExpr) (*types.Func, bool) {
 		return nil, false
 	}
 	if !postMethodNames[fn.Name()] {
-		if !rmaPostNames[fn.Name()] {
-			return nil, false
-		}
+		// Get (the one-sided read) is too common a name to match on any
+		// receiver but a Win.
 		recv := namedOf(sig.Recv().Type())
-		if recv == nil || recv.Obj().Name() != "Win" {
+		if fn.Name() != "Get" || recv == nil || recv.Obj().Name() != "Win" {
 			return nil, false
 		}
 	}
@@ -259,7 +253,7 @@ func leakScanBody(n *CGNode, drops map[*types.Var]bool) []Finding {
 		switch parent := unparenParent(parents, call).(type) {
 		case *ast.ExprStmt:
 			out = append(out, p.findingf("request-leak", call.Pos(),
-				"%s result discarded: the posted request can never be completed — Wait/Test it, store it, or suppress with //hclint:allow if the transport completes it autonomously", fn.Name()))
+				"%s result discarded: the posted request can never be completed — Wait/Test it, store it, or use SendDetached for a fire-and-forget send", fn.Name()))
 		case *ast.GoStmt:
 			if parent.Call == call {
 				out = append(out, p.findingf("request-leak", call.Pos(),

@@ -45,7 +45,7 @@ const registryPath = "hcmpi/internal/mpi"
 
 // tagSendCallees / tagRecvCallees classify tag-parameter APIs by name.
 var tagSendCallees = map[string]bool{
-	"Send": true, "Isend": true, "SendReserved": true, "IsendReserved": true,
+	"Send": true, "Isend": true, "SendDetached": true, "IsendReserved": true,
 }
 var tagRecvCallees = map[string]bool{
 	"Recv": true, "Irecv": true, "IrecvReserved": true, "Listen": true,

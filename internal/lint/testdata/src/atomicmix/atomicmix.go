@@ -1,44 +1,29 @@
 // Package atomicmix is a known-bad fixture for the atomic-mix analyzer:
-// fields accessed through sync/atomic helpers that are also read or
-// written plainly.
+// every sync/atomic package-level helper call is flagged, and the typed
+// atomics stay clean.
 package atomicmix
 
 import "sync/atomic"
 
 type counter struct {
-	n    int64 // accessed atomically AND plainly: every plain site flagged
-	safe int64 // only ever atomic: clean
-	m    int64 // only ever plain: clean
+	n     int64
+	typed atomic.Int64
 }
 
-var global int64 // package-level atomic-then-plain: flagged
-
 func (c *counter) incr() {
-	atomic.AddInt64(&c.n, 1)
-	atomic.AddInt64(&c.safe, 1)
-	atomic.AddInt64(&global, 1)
+	atomic.AddInt64(&c.n, 1) // want: package-level helper
+	c.typed.Add(1)           // fine: typed atomic
 }
 
 func (c *counter) read() int64 {
-	if atomic.LoadInt64(&c.safe) > 0 {
-		return atomic.LoadInt64(&c.n)
-	}
-	return c.n // want: plain read of atomic field
+	return atomic.LoadInt64(&c.n) + c.typed.Load() // want: package-level helper
 }
 
-func (c *counter) reset() {
-	c.n = 0 // want: plain write of atomic field
-	atomic.StoreInt64(&c.safe, 0)
-	c.m = 0 // fine: m is never touched atomically
+func (c *counter) swap(old, new int64) bool {
+	return atomic.CompareAndSwapInt64(&c.n, old, new) // want: package-level helper
 }
 
-func drain() int64 {
-	v := global // want: plain read of atomic package-level var
-	return v
-}
-
-// typedAtomics must stay clean: methods of the typed atomics take &x as
-// a stored value, not as an atomic location.
+// Methods of the typed atomics take &x as a stored value: still clean.
 type node struct{ next *node }
 
 type stack struct {
@@ -47,6 +32,5 @@ type stack struct {
 }
 
 func (s *stack) init() {
-	s.head.Store(&s.stub) // fine: &s.stub is a value, not a location
-	s.stub.next = nil     // fine: stub itself is not an atomic location
+	s.head.Store(&s.stub) // fine: typed atomic method
 }

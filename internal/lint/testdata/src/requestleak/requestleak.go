@@ -17,11 +17,13 @@ type Comm struct{ rank int }
 func (c *Comm) Rank() int                               { return c.rank }
 func (c *Comm) Isend(buf []byte, dst, tag int) *Request { return &Request{} }
 func (c *Comm) Irecv(buf []byte, src, tag int) *Request { return &Request{} }
+func (c *Comm) SendDetached(buf []byte, dst, tag int)   {}
 
 type Win struct{}
 
-func (w *Win) Put(buf []byte, dst, off int) *Request { return &Request{} }
-func (w *Win) Fence()                                {}
+func (w *Win) Put(buf []byte, dst, off int) {}
+func (w *Win) Get(n, src, off int) *Request { return &Request{} }
+func (w *Win) Fence() error                 { return nil }
 
 // ---- discarded results: nobody can ever complete these ----
 
@@ -38,8 +40,22 @@ func underGo(c *Comm, buf []byte) {
 }
 
 func rmaDiscarded(w *Win, buf []byte) {
-	w.Put(buf, 1, 0) // want: result discarded
+	w.Put(buf, 1, 0) // fine: no request, Fence completes it
+	w.Get(1, 1, 0)   // want: result discarded
 	w.Fence()
+}
+
+// Map's Get is not a post, whatever it returns.
+type Map struct{}
+
+func (m *Map) Get(key string) *Request { return nil }
+
+func lookups(m *Map) {
+	m.Get("k") // fine: not a Win
+}
+
+func detached(c *Comm, buf []byte) {
+	c.SendDetached(buf, 1, 0) // fine: the runtime owns the request
 }
 
 // ---- path-sensitive leaks ----

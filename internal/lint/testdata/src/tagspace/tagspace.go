@@ -7,6 +7,7 @@ package tagspace
 type comm struct{}
 
 func (c *comm) IsendReserved(buf []byte, dest, tag int)    {}
+func (c *comm) SendDetached(buf []byte, dest, tag int)     {}
 func (c *comm) IrecvReserved(buf []byte, src, tag int)     {}
 func (c *comm) Listen(tag int, fn func(src int, b []byte)) {}
 
@@ -24,5 +25,8 @@ func wire(c *comm) {
 	c.IrecvReserved(nil, 3, tagPrivate) // want: received but never sent
 	c.IsendReserved(nil, 4, -900)       // ok: the pair below matches
 	c.IrecvReserved(nil, 4, -900)
-	c.IsendReserved(nil, 5, 7) // ok: user tag space
+	c.IsendReserved(nil, 5, 7)   // ok: user tag space
+	c.SendDetached(nil, 6, -202) // want: tag in the dddf block
+	c.SendDetached(nil, 7, -901) // ok: the pair below matches
+	c.IrecvReserved(nil, 7, -901)
 }

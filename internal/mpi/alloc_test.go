@@ -8,7 +8,8 @@ import (
 // TestPooledP2PAllocFree pins the pooled Isend/Irecv fast path at zero
 // allocations per round trip once the request, send-op, and payload
 // pools are warm: the tentpole contract that a steady-state message
-// stream produces no garbage.
+// stream produces no garbage. A detached send is held to the same pin:
+// its request must go back to the pool, not fall to the GC.
 func TestPooledP2PAllocFree(t *testing.T) {
 	w := NewWorld(2)
 	defer w.Close()
@@ -29,6 +30,51 @@ func TestPooledP2PAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(500, roundTrip); avg != 0 {
 		t.Errorf("pooled Isend/Irecv round trip allocated %.2f per run, want 0", avg)
 	}
+	detached := func() {
+		r := c1.Irecv(dst, 0, 8)
+		c0.SendDetached(src, 1, 8)
+		r.WaitStatus()
+		r.Free()
+	}
+	for i := 0; i < 300; i++ {
+		detached()
+	}
+	if avg := testing.AllocsPerRun(500, detached); avg != 0 {
+		t.Errorf("SendDetached + Irecv allocated %.2f per run, want 0", avg)
+	}
+}
+
+// TestRMAPutFenceAllocFree pins a two-rank access epoch, where each rank
+// Puts 8 bytes into the other's window and both Fence, at 10 allocations
+// for both ranks together. Per rank that is the Put's wire message, the
+// window's list of epoch sends, the fence barrier's token, and up to two
+// done channels for the waits on the put and the barrier (measured 8-9).
+// The Put's send request comes from the pool, and no goroutine starts.
+func TestRMAPutFenceAllocFree(t *testing.T) {
+	const warm, runs = 100, 200
+	w := NewWorld(2)
+	w.Run(func(c *Comm) {
+		win := c.WinCreate(make([]byte, 8))
+		data := make([]byte, 8)
+		epoch := func() {
+			win.Put(data, 1-c.Rank(), 0)
+			if err := win.Fence(); err != nil {
+				t.Errorf("rank %d: Fence: %v", c.Rank(), err)
+			}
+		}
+		for i := 0; i < warm; i++ {
+			epoch()
+		}
+		if c.Rank() == 1 {
+			for i := 0; i < runs+1; i++ { // +1: AllocsPerRun's warm-up call
+				epoch()
+			}
+			return
+		}
+		if avg := testing.AllocsPerRun(runs, epoch); avg > 10 {
+			t.Errorf("remote Put + Fence epoch allocated %.0f per run, want <= 10", avg)
+		}
+	})
 }
 
 // TestRequestPoolRecycles verifies Free actually feeds newRequest (the
@@ -69,7 +115,7 @@ func TestWaitAllInto(t *testing.T) {
 			reqs[i] = c1.Irecv(bufs[i], 0, i)
 		}
 		for i := range reqs {
-			c0.Isend([]byte{1, 2, 3}, 1, i) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			c0.SendDetached([]byte{1, 2, 3}, 1, i)
 		}
 		return reqs
 	}

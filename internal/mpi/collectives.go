@@ -71,7 +71,7 @@ func (c *Comm) Scan(data []byte, dt Datatype, op Op) []byte {
 		copy(acc, prev)
 	}
 	if c.rank < c.size-1 {
-		c.isendRetry(acc, c.rank+1, collTag(seq, 2))
+		c.isendRetry(acc, c.rank+1, collTag(seq, 2)).detach()
 	}
 	return acc
 }
@@ -89,7 +89,7 @@ func (c *Comm) Scatter(parts [][]byte, root int) []byte {
 			if r == root {
 				continue
 			}
-			c.isendRetry(parts[r], r, collTag(seq, 3))
+			c.isendRetry(parts[r], r, collTag(seq, 3)).detach()
 		}
 		own := make([]byte, len(parts[root]))
 		copy(own, parts[root])
@@ -108,7 +108,7 @@ func (c *Comm) Gather(data []byte, root int) [][]byte {
 	seq := c.nextCollSeq()
 	p := c.size
 	if c.rank != root {
-		c.isendRetry(data, root, collTag(seq, 4))
+		c.isendRetry(data, root, collTag(seq, 4)).detach()
 		return nil
 	}
 	out := make([][]byte, p)
@@ -151,7 +151,7 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 			continue
 		}
 		reqs[r] = c.irecv(nil, r, collTag(seq, 5), true)
-		c.isendRetry(data, r, collTag(seq, 5))
+		c.isendRetry(data, r, collTag(seq, 5)).detach()
 	}
 	for r := 0; r < p; r++ {
 		if r == c.rank {
@@ -182,7 +182,7 @@ func (c *Comm) Alltoall(parts [][]byte) [][]byte {
 			continue
 		}
 		reqs[r] = c.irecv(nil, r, collTag(seq, 6), true)
-		c.isendRetry(parts[r], r, collTag(seq, 6))
+		c.isendRetry(parts[r], r, collTag(seq, 6)).detach()
 	}
 	for r := 0; r < p; r++ {
 		if r == c.rank {

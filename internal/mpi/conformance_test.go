@@ -108,7 +108,7 @@ func confNonOvertaking(t *testing.T, c *mpi.Comm) {
 	switch c.Rank() {
 	case 0:
 		for i := 0; i < msgs; i++ {
-			c.Isend([]byte{byte(i)}, 1, 3) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			c.SendDetached([]byte{byte(i)}, 1, 3)
 		}
 	case 1:
 		buf := make([]byte, 1)
@@ -199,10 +199,12 @@ func confVariableSize(t *testing.T, c *mpi.Comm) {
 func confSelfSend(t *testing.T, c *mpi.Comm) {
 	// Loopback must copy: mutate the source buffer right after Isend.
 	src := []byte{42}
-	c.Isend(src, c.Rank(), 1) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
-	src[0] = 99               //hclint:allow deliberate: asserts the loopback transport copies the buffer at post time
+	r := c.Isend(src, c.Rank(), 1)
+	src[0] = 99 //hclint:allow deliberate: asserts the loopback transport copies the buffer at post time
 	buf := make([]byte, 1)
 	c.Recv(buf, c.Rank(), 1)
+	r.WaitStatus()
+	r.Free()
 	if buf[0] != 42 {
 		t.Errorf("self-send aliased the caller's buffer: got %d", buf[0])
 	}
@@ -274,7 +276,7 @@ func confReservedTags(t *testing.T, c *mpi.Comm) {
 	const tag = -77
 	switch c.Rank() {
 	case 0:
-		c.SendReserved([]byte("runtime-protocol"), 1, tag)
+		c.IsendReserved([]byte("runtime-protocol"), 1, tag).Wait()
 		// AnyTag must not match reserved traffic.
 		c.Send([]byte{1}, 1, 0)
 	case 1:
@@ -398,7 +400,7 @@ func confMixedWithP2P(t *testing.T, c *mpi.Comm) {
 	next := (c.Rank() + 1) % c.Size()
 	prev := (c.Rank() + c.Size() - 1) % c.Size()
 	r := c.IrecvAdopt(prev, 6)
-	c.Isend([]byte{byte(c.Rank())}, next, 6) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+	c.SendDetached([]byte{byte(c.Rank())}, next, 6)
 	c.Barrier()
 	sum := mpi.DecodeInt64(c.Allreduce(mpi.EncodeInt64(int64(c.Rank())), mpi.Int64, mpi.OpSum))
 	st := r.WaitStatus()
@@ -415,9 +417,11 @@ func confRMAPutFence(t *testing.T, c *mpi.Comm) {
 	buf := make([]byte, c.Size())
 	win := c.WinCreate(buf)
 	for target := 0; target < c.Size(); target++ {
-		win.Put([]byte{byte(c.Rank() + 1)}, target, c.Rank()) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Put([]byte{byte(c.Rank() + 1)}, target, c.Rank())
 	}
-	win.Fence()
+	if err := win.Fence(); err != nil {
+		t.Errorf("rank %d: Fence: %v", c.Rank(), err)
+	}
 	for r := 0; r < c.Size(); r++ {
 		if buf[r] != byte(r+1) {
 			t.Errorf("rank %d buf[%d] = %d", c.Rank(), r, buf[r])
@@ -450,7 +454,7 @@ func confRMAAccumulate(t *testing.T, c *mpi.Comm) {
 	buf := mpi.EncodeInt64(0)
 	win := c.WinCreate(buf)
 	win.Fence()
-	win.Accumulate(mpi.EncodeInt64(int64(c.Rank()+1)), mpi.Int64, mpi.OpSum, 0, 0) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+	win.Accumulate(mpi.EncodeInt64(int64(c.Rank()+1)), mpi.Int64, mpi.OpSum, 0, 0)
 	win.Fence()
 	if c.Rank() == 0 {
 		n := int64(c.Size())

@@ -231,6 +231,8 @@ type Comm struct {
 	fastSend bool
 	reqHit   *trace.Counter
 	reqMiss  *trace.Counter
+	// detachedFailed counts detached sends that completed with an error.
+	detachedFailed *trace.Counter
 
 	// metrics is the endpoint's counter registry: the world's for netsim
 	// comms, the mesh's for distributed comms.
@@ -259,6 +261,7 @@ func newComm(w *World, rank int) *Comm {
 	c.fastSend = w.opts.Faults == nil || w.opts.Faults.DupProb <= 0
 	c.reqHit = w.metrics.Counter("mpi_req_pool_hit")
 	c.reqMiss = w.metrics.Counter("mpi_req_pool_miss")
+	c.detachedFailed = w.metrics.Counter("mpi_detached_send_failed")
 	c.sendFn = func(dest, tag int, payload []byte, onDelivered, onDropped func()) {
 		dc := w.comms[dest]
 		src := c.rank

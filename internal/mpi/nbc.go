@@ -50,7 +50,7 @@ func (c *Comm) barrierSeq(seq int) error {
 		from := (me - k + p) % p
 		r := c.irecv(in, from, collTag(seq, round), false)
 		binary.LittleEndian.PutUint32(out, uint32(failed+1))
-		c.isendRetry(out, to, collTag(seq, round))
+		c.isendRetry(out, to, collTag(seq, round)).detach()
 		st := r.WaitStatus()
 		r.Free()
 		switch {
@@ -106,7 +106,7 @@ func (c *Comm) bcastSeq(buf []byte, root, seq int) {
 	}
 	for mask := 1; mask < stop && vrank+mask < p; mask <<= 1 {
 		child := (vrank + mask + root) % p
-		c.isendRetry(buf, child, collTag(seq, 0))
+		c.isendRetry(buf, child, collTag(seq, 0)).detach()
 	}
 }
 
@@ -144,7 +144,7 @@ func (c *Comm) reduceSeq(data []byte, dt Datatype, op Op, root, seq int) []byte 
 	for mask := 1; mask < p; mask <<= 1 {
 		if vrank&mask != 0 {
 			parent := (vrank - mask + root) % p
-			c.isendRetry(acc, parent, collTag(seq, 1))
+			c.isendRetry(acc, parent, collTag(seq, 1)).detach()
 			return nil
 		}
 		if vrank+mask < p {

@@ -49,6 +49,7 @@ type Request struct {
 	mu        sync.Mutex
 	done      chan struct{} // lazily created; nil until someone blocks
 	completed bool          // authoritative, guarded by mu
+	detached  bool          // guarded by mu: the runtime owns it (detach)
 	status    Status
 	timer     *time.Timer     // pending deadline, stopped on completion
 	waiters   []chan struct{} // WaitAny registrations, notified on completion
@@ -96,27 +97,41 @@ func (r *Request) Free() {
 	if r == nil || r.comm == nil {
 		return
 	}
+	invariant.Assert(r.isDone(), "mpi: Free of an incomplete request")
+	r.release(false)
+}
+
+// detach hands a posted send to the runtime: the request returns to the
+// pool once complete, and a failure only increments the comm's
+// mpi_detached_send_failed counter. It runs after isendOpts has armed the
+// deadline, so the post never touches a recycled request.
+func (r *Request) detach() { r.release(true) }
+
+// release pools a completed request. An incomplete one is left alone by
+// Free; detach marks it, and completeGen pools it on completion.
+func (r *Request) release(detach bool) {
 	r.mu.Lock()
-	if !r.completed {
-		r.mu.Unlock()
-		invariant.Assert(false, "mpi: Free of an incomplete request")
+	r.detached = detach
+	done := r.completed
+	if done {
+		if detach && r.status.Err != nil {
+			r.comm.detachedFailed.Inc()
+		}
+		r.gen.Add(1) // fence off stale timers and network callbacks
+		r.completed = false
+		r.completedFlag.Store(false)
+		r.detached = false
+		r.done = nil
+		r.status = Status{}
+		r.buf = nil
+		r.payload = nil
+		r.takeAll = false
+		r.waiters = r.waiters[:0]
+	}
+	r.mu.Unlock()
+	if !done {
 		return
 	}
-	r.gen.Add(1) // fence off stale timers and network callbacks
-	if r.timer != nil {
-		r.timer.Stop()
-		r.timer = nil
-	}
-	r.completed = false
-	r.completedFlag.Store(false)
-	r.done = nil
-	r.status = Status{}
-	r.buf = nil
-	r.payload = nil
-	r.takeAll = false
-	r.waiters = r.waiters[:0]
-	r.mu.Unlock()
-
 	c := r.comm
 	c.reqMu.Lock()
 	if len(c.reqPool) < maxReqPool {
@@ -130,25 +145,15 @@ func (r *Request) Free() {
 // otherwise race on a receive (matching delivery, Cancel, deadline
 // expiry, peer failure) are already serialized through Comm.unpost, which
 // picks the deterministic winner before complete is reached.
-func (r *Request) complete(st Status) {
-	r.mu.Lock()
-	r.completeLocked(st)
-	r.mu.Unlock()
-}
+func (r *Request) complete(st Status) { r.completeGen(r.gen.Load(), st) }
 
 // completeGen is complete fenced by a generation: a stale caller (the
 // request was freed and possibly reissued since the caller captured
-// gen) is a no-op.
+// gen) is a no-op. A detached request goes back to the pool.
 func (r *Request) completeGen(gen uint64, st Status) {
 	r.mu.Lock()
-	if r.gen.Load() == gen {
-		r.completeLocked(st)
-	}
-	r.mu.Unlock()
-}
-
-func (r *Request) completeLocked(st Status) {
-	if r.completed {
+	if r.gen.Load() != gen || r.completed {
+		r.mu.Unlock()
 		return
 	}
 	r.status = st
@@ -168,6 +173,11 @@ func (r *Request) completeLocked(st Status) {
 		}
 	}
 	r.waiters = r.waiters[:0]
+	detached := r.detached
+	r.mu.Unlock()
+	if detached {
+		r.release(true)
+	}
 }
 
 // isDone reports completion without consuming anything.
@@ -428,6 +438,14 @@ func (c *Comm) Isend(buf []byte, dest, tag int) *Request {
 	return c.isend(buf, dest, tag)
 }
 
+// SendDetached is a send whose request the runtime owns: buf is copied
+// eagerly, and a failure is only counted (mpi_detached_send_failed).
+// Use Isend when the caller needs the outcome.
+func (c *Comm) SendDetached(buf []byte, dest, tag int) {
+	checkUserTag(tag)
+	c.isend(buf, dest, tag).detach()
+}
+
 // isend is the tag-unchecked variant used by collectives and runtime
 // protocols (which use reserved tags).
 func (c *Comm) isend(buf []byte, dest, tag int) *Request {
@@ -586,25 +604,26 @@ func (c *Comm) isendSlow(req *Request, buf []byte, dest, tag, retries int) {
 	payload := make([]byte, len(buf))
 	copy(payload, buf)
 	src := c.rank
+	gen := req.gen.Load()
 	var attempt func(left int)
 	attempt = func(left int) {
 		c.sendFn(dest, tag, payload, func() {
-			req.complete(Status{Source: src, Tag: tag, Bytes: len(payload)})
+			req.completeGen(gen, Status{Source: src, Tag: tag, Bytes: len(payload)})
 		}, func() {
 			// The network dropped this copy. Classify, retransmit, or fail;
-			// a request already completed by its deadline stays dead.
-			if req.isDone() {
+			// a request completed by its deadline, or freed, stays dead.
+			if req.gen.Load() != gen || req.isDone() {
 				return
 			}
 			if c.failed(dest) {
-				req.complete(Status{Source: src, Tag: tag, Err: ErrRankFailed})
+				req.completeGen(gen, Status{Source: src, Tag: tag, Err: ErrRankFailed})
 				return
 			}
 			if left > 0 {
 				attempt(left - 1)
 				return
 			}
-			req.complete(Status{Source: src, Tag: tag, Err: ErrMessageDropped})
+			req.completeGen(gen, Status{Source: src, Tag: tag, Err: ErrMessageDropped})
 		})
 	}
 	attempt(retries)

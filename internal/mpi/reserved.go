@@ -19,11 +19,6 @@ func (c *Comm) IsendReserved(buf []byte, dest, tag int) *Request {
 	return c.isend(buf, dest, tag)
 }
 
-// SendReserved is the blocking counterpart of IsendReserved.
-func (c *Comm) SendReserved(buf []byte, dest, tag int) {
-	c.IsendReserved(buf, dest, tag).Wait()
-}
-
 // IrecvReserved posts a receive on a reserved tag that adopts the full
 // payload regardless of size; read it with Request.Payload after
 // completion.

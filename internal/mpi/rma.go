@@ -15,10 +15,10 @@ import (
 // A window exposes a byte buffer per rank. One-sided operations are
 // applied at the target when their message is delivered — no target-side
 // code runs (true passive-target progress, which this substrate can
-// provide because delivery callbacks execute in the network layer). A
-// Put/Accumulate request completes when the operation has been applied;
-// Fence waits for all of this rank's outstanding operations and then
-// synchronizes all ranks, so every rank observes all pre-fence RMAs.
+// provide because delivery callbacks execute in the network layer).
+// Put and Accumulate return no request, as in MPI: the window owns their
+// sends until Fence, which waits for them (and for this rank's Gets) and
+// then synchronizes all ranks, so every rank observes all pre-fence RMAs.
 
 // rmaKind discriminates one-sided operations on the wire.
 type rmaKind byte
@@ -44,11 +44,12 @@ type Win struct {
 	buf  []byte
 
 	mu sync.Mutex
-	// epochPending counts RMAs issued by this rank in the current fence
-	// epoch whose remote application has not been acknowledged.
-	epochPending []*Request
-	getSeq       int
-	pendingGets  map[int]*Request
+	// sends are this rank's remote Put/Accumulate messages in the current
+	// fence epoch; the window owns them and Fence frees them. gets are the
+	// epoch's caller-owned Get requests, which Fence only waits on.
+	sends, gets []*Request
+	getSeq      int
+	pendingGets map[int]*Request
 }
 
 // winRegistry is per-comm window bookkeeping.
@@ -155,22 +156,28 @@ func (c *Comm) applyRMA(src int, payload []byte) {
 		panic(fmt.Sprintf("mpi: RMA on unknown window %d", winID))
 	}
 	switch kind {
-	case rmaPut:
-		w.mu.Lock()
-		copy(w.buf[offset:], data)
-		w.mu.Unlock()
-	case rmaAcc:
-		w.mu.Lock()
-		op.Combine(dt, w.buf[offset:offset+len(data)], data)
-		w.mu.Unlock()
+	case rmaPut, rmaAcc:
+		w.apply(kind, data, dt, op, offset)
 	case rmaGetReq:
 		n := int(getU32(data))
 		w.mu.Lock()
 		out := make([]byte, n)
 		copy(out, w.buf[offset:offset+n])
 		w.mu.Unlock()
-		c.isendRetry(rmaEncode(rmaGetResp, winID, offset, seq, dt, op, out), src, tagRMAResp)
+		c.isendRetry(rmaEncode(rmaGetResp, winID, offset, seq, dt, op, out), src, tagRMAResp).detach()
 	}
+}
+
+// apply performs a Put (copy) or Accumulate (combine) on the local
+// window buffer.
+func (w *Win) apply(kind rmaKind, data []byte, dt Datatype, op Op, offset int) {
+	w.mu.Lock()
+	if kind == rmaPut {
+		copy(w.buf[offset:], data)
+	} else {
+		op.Combine(dt, w.buf[offset:offset+len(data)], data)
+	}
+	w.mu.Unlock()
 }
 
 // applyGetResp completes a pending Get with the returned bytes; it runs
@@ -187,49 +194,31 @@ func (c *Comm) applyGetResp(src int, payload []byte) {
 	req.complete(Status{Source: src, Bytes: len(payload) - 15})
 }
 
-// Put writes data into the target rank's window at offset. It returns a
-// request that completes when the write has been applied at the target;
-// Fence also orders it.
-func (w *Win) Put(data []byte, target, offset int) *Request {
-	c := w.comm
-	req := c.newRequest(reqSend)
-	if target == c.rank {
-		w.mu.Lock()
-		copy(w.buf[offset:], data)
-		w.mu.Unlock()
-		req.complete(Status{Bytes: len(data)})
-		return req
-	}
-	msg := rmaEncode(rmaPut, w.id, offset, 0, Byte, OpSum, data)
-	under := c.isendRetry(msg, target, tagRMA)
-	go func() {
-		under.Wait()
-		req.complete(Status{Bytes: len(data)})
-	}()
-	w.track(req)
-	return req
+// Put writes data into the target rank's window at offset. Like MPI_Put
+// it returns no request: the next Fence completes it and reports its
+// failure.
+func (w *Win) Put(data []byte, target, offset int) {
+	w.write(rmaPut, data, Byte, OpSum, target, offset)
 }
 
 // Accumulate combines data into the target's window with op (element
-// type dt), like MPI_Accumulate.
-func (w *Win) Accumulate(data []byte, dt Datatype, op Op, target, offset int) *Request {
+// type dt), like MPI_Accumulate; the next Fence completes it.
+func (w *Win) Accumulate(data []byte, dt Datatype, op Op, target, offset int) {
+	w.write(rmaAcc, data, dt, op, target, offset)
+}
+
+// write applies a Put/Accumulate aimed at this rank at once; a remote one
+// is sent, and the window keeps the send for Fence.
+func (w *Win) write(kind rmaKind, data []byte, dt Datatype, op Op, target, offset int) {
 	c := w.comm
-	req := c.newRequest(reqSend)
 	if target == c.rank {
-		w.mu.Lock()
-		op.Combine(dt, w.buf[offset:offset+len(data)], data)
-		w.mu.Unlock()
-		req.complete(Status{Bytes: len(data)})
-		return req
+		w.apply(kind, data, dt, op, offset)
+		return
 	}
-	msg := rmaEncode(rmaAcc, w.id, offset, 0, dt, op, data)
-	under := c.isendRetry(msg, target, tagRMA)
-	go func() {
-		under.Wait()
-		req.complete(Status{Bytes: len(data)})
-	}()
-	w.track(req)
-	return req
+	r := c.isendRetry(rmaEncode(kind, w.id, offset, 0, dt, op, data), target, tagRMA)
+	w.mu.Lock()
+	w.sends = append(w.sends, r)
+	w.mu.Unlock()
 }
 
 // Get reads n bytes from the target's window at offset; the data is in
@@ -251,32 +240,36 @@ func (w *Win) Get(n, target, offset int) *Request {
 	seq := w.getSeq
 	w.getSeq++
 	w.pendingGets[seq] = req
+	w.gets = append(w.gets, req)
 	w.mu.Unlock()
 	var nbuf [4]byte
 	putU32(nbuf[:], uint32(n))
-	c.isendRetry(rmaEncode(rmaGetReq, w.id, offset, seq, Byte, OpSum, nbuf[:]), target, tagRMA)
-	w.track(req)
+	c.isendRetry(rmaEncode(rmaGetReq, w.id, offset, seq, Byte, OpSum, nbuf[:]), target, tagRMA).detach()
 	return req
 }
 
-// track records an outstanding epoch operation for Fence.
-func (w *Win) track(r *Request) {
+// Fence closes the current access epoch (MPI_Win_fence with assert 0):
+// it waits for this rank's Puts and Accumulates to be applied, freeing
+// their sends, and for its Gets to complete, then synchronizes all ranks,
+// so that on return every rank observes all pre-fence RMAs. It returns
+// the first failed write's error, else the barrier's.
+func (w *Win) Fence() error {
 	w.mu.Lock()
-	w.epochPending = append(w.epochPending, r)
+	sends, gets := w.sends, w.gets
+	w.sends, w.gets = nil, nil
 	w.mu.Unlock()
-}
-
-// Fence closes the current access epoch: it waits for every one-sided
-// operation this rank issued to be applied, then synchronizes all ranks,
-// so that on return every rank observes all pre-fence RMAs
-// (MPI_Win_fence with assert 0).
-func (w *Win) Fence() {
-	w.mu.Lock()
-	pending := w.epochPending
-	w.epochPending = nil
-	w.mu.Unlock()
-	for _, r := range pending {
-		r.Wait()
+	var err error
+	for _, r := range sends {
+		if st := r.WaitStatus(); err == nil {
+			err = st.Err
+		}
+		r.Free()
 	}
-	w.comm.Barrier()
+	for _, r := range gets {
+		r.WaitStatus()
+	}
+	if berr := w.comm.Barrier(); err == nil {
+		err = berr
+	}
+	return err
 }

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,7 +17,7 @@ func TestRMAPutFenceVisibility(t *testing.T) {
 		win := c.WinCreate(buf)
 		// Everyone puts its rank id into every other rank's window.
 		for target := 0; target < n; target++ {
-			win.Put([]byte{byte(c.Rank() + 1)}, target, c.Rank()) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+			win.Put([]byte{byte(c.Rank() + 1)}, target, c.Rank())
 		}
 		win.Fence()
 		// After the fence, every slot must be filled.
@@ -51,7 +53,7 @@ func TestRMAAccumulate(t *testing.T) {
 		buf := make([]byte, 8)
 		win := c.WinCreate(buf)
 		// Every rank accumulates (rank+1) into rank 0's counter.
-		win.Accumulate(EncodeInt64(int64(c.Rank()+1)), Int64, OpSum, 0, 0) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Accumulate(EncodeInt64(int64(c.Rank()+1)), Int64, OpSum, 0, 0)
 		win.Fence()
 		if c.Rank() == 0 {
 			if got := DecodeInt64(buf); got != n*(n+1)/2 {
@@ -67,7 +69,7 @@ func TestRMAAccumulateMax(t *testing.T) {
 	w.Run(func(c *Comm) {
 		buf := make([]byte, 8)
 		win := c.WinCreate(buf)
-		win.Accumulate(EncodeInt64(int64(c.Rank()*7)), Int64, OpMax, 0, 0) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Accumulate(EncodeInt64(int64(c.Rank()*7)), Int64, OpMax, 0, 0)
 		win.Fence()
 		if c.Rank() == 0 {
 			if got := DecodeInt64(buf); got != 21 {
@@ -82,7 +84,7 @@ func TestRMALocalOperations(t *testing.T) {
 	w.Run(func(c *Comm) {
 		buf := make([]byte, 4)
 		win := c.WinCreate(buf)
-		win.Put([]byte{1, 2}, 0, 1).Wait()
+		win.Put([]byte{1, 2}, 0, 1)
 		if buf[1] != 1 || buf[2] != 2 {
 			t.Errorf("local put: %v", buf)
 		}
@@ -91,7 +93,7 @@ func TestRMALocalOperations(t *testing.T) {
 		if p := r.Payload(); p[0] != 1 || p[1] != 2 {
 			t.Errorf("local get: %v", p)
 		}
-		win.Accumulate([]byte{5}, Byte, OpSum, 0, 1) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Accumulate([]byte{5}, Byte, OpSum, 0, 1)
 		win.Fence()
 		if buf[1] != 6 {
 			t.Errorf("local accumulate: %v", buf)
@@ -107,8 +109,8 @@ func TestRMAMultipleWindows(t *testing.T) {
 		winA := c.WinCreate(a)
 		winB := c.WinCreate(b)
 		peer := 1 - c.Rank()
-		winA.Put([]byte{7}, peer, 0) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
-		winB.Put([]byte{9}, peer, 1) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		winA.Put([]byte{7}, peer, 0)
+		winB.Put([]byte{9}, peer, 1)
 		winA.Fence()
 		winB.Fence()
 		if a[0] != 7 || b[1] != 9 {
@@ -123,7 +125,7 @@ func TestRMAPutGetRoundTripUnderLatency(t *testing.T) {
 		buf := make([]byte, 16)
 		win := c.WinCreate(buf)
 		next := (c.Rank() + 1) % 3
-		win.Put([]byte{byte(c.Rank() + 40)}, next, 0) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Put([]byte{byte(c.Rank() + 40)}, next, 0)
 		win.Fence()
 		prev := (c.Rank() + 2) % 3
 		if buf[0] != byte(prev+40) {
@@ -136,5 +138,51 @@ func TestRMAPutGetRoundTripUnderLatency(t *testing.T) {
 			t.Errorf("round trip got %d", r.Payload()[0])
 		}
 		win.Fence()
+	})
+}
+
+// A Put has no request, so Fence is where its failure surfaces: with the
+// target dead, the survivor's Fence returns ErrRankFailed.
+func TestRMAFencePutToDeadRank(t *testing.T) {
+	const victim = 2
+	w := NewWorld(3)
+	defer w.Close()
+	wins := make([]*Win, 3)
+	var wg sync.WaitGroup
+	for r := range wins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wins[r] = w.Comm(r).WinCreate(make([]byte, 4))
+		}()
+	}
+	wg.Wait()
+	w.FailRank(victim)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wins[r].Put([]byte{1}, victim, r)
+			if err := wins[r].Fence(); !errors.Is(err, ErrRankFailed) {
+				t.Errorf("rank %d: Fence = %v, want ErrRankFailed", r, err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// Fence reports a failed Put even when its closing barrier succeeds: a
+// Put posted under a deadline far shorter than the link latency times
+// out, and Fence returns that error rather than the barrier's nil.
+func TestRMAFenceReportsPutError(t *testing.T) {
+	w := NewWorld(2, WithNetwork(netsim.Params{InterLatency: 20 * time.Millisecond}))
+	w.Run(func(c *Comm) {
+		win := c.WinCreate(make([]byte, 2))
+		c.SetDeadline(time.Microsecond)
+		win.Put([]byte{1}, 1-c.Rank(), c.Rank())
+		c.SetDeadline(0)
+		if err := win.Fence(); !errors.Is(err, ErrTimeout) {
+			t.Errorf("rank %d: Fence = %v, want ErrTimeout", c.Rank(), err)
+		}
 	})
 }

@@ -212,6 +212,7 @@ func Distributed(rank int, addrs []string, opts ...DistOption) (*Comm, io.Closer
 	c.metrics = m.metrics
 	c.reqHit = m.metrics.Counter("mpi_req_pool_hit")
 	c.reqMiss = m.metrics.Counter("mpi_req_pool_miss")
+	c.detachedFailed = m.metrics.Counter("mpi_detached_send_failed")
 	c.bufs = m.bufs
 	c.ring = cfg.tracer.Register(rank, trace.MPITid, "mpi", trace.TrackMPI)
 	c.sendHook = m.send

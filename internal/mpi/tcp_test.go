@@ -77,7 +77,7 @@ func TestTCPNonOvertaking(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			for i := 0; i < msgs; i++ {
-				c.Isend([]byte{byte(i)}, 1, 3) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+				c.SendDetached([]byte{byte(i)}, 1, 3)
 			}
 		case 1:
 			buf := make([]byte, 1)
@@ -122,7 +122,7 @@ func TestTCPRMA(t *testing.T) {
 		buf := make([]byte, n)
 		win := c.WinCreate(buf)
 		for target := 0; target < n; target++ {
-			win.Put([]byte{byte(c.Rank() + 1)}, target, c.Rank()) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+			win.Put([]byte{byte(c.Rank() + 1)}, target, c.Rank())
 		}
 		win.Fence()
 		for r := 0; r < n; r++ {
@@ -135,7 +135,7 @@ func TestTCPRMA(t *testing.T) {
 
 func TestTCPSelfSend(t *testing.T) {
 	runDistributed(t, 2, func(c *Comm) {
-		c.Isend([]byte{9}, c.Rank(), 1) //hclint:allow loopback fire-and-forget send: the eager transport copies at post; teardown reaps it
+		c.SendDetached([]byte{9}, c.Rank(), 1)
 		buf := make([]byte, 1)
 		c.Recv(buf, c.Rank(), 1)
 		if buf[0] != 9 {
@@ -254,6 +254,28 @@ func TestTCPBarrierReportsDeadRank(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestTCPFencePutToDeadRank is Fence's failure contract over TCP: with
+// the Put's target gone, the survivor's Fence returns ErrRankFailed.
+func TestTCPFencePutToDeadRank(t *testing.T) {
+	comms, closers := bringUp(t, 2, nil)
+	defer closers[0].Close()
+	wins := make([]*Win, 2)
+	var wg sync.WaitGroup
+	for r, c := range comms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wins[r] = c.WinCreate(make([]byte, 4))
+		}()
+	}
+	wg.Wait()
+	closers[1].Close()
+	wins[0].Put([]byte{1}, 1, 0)
+	if err := wins[0].Fence(); err != ErrRankFailed {
+		t.Fatalf("Fence after Put to dead rank = %v, want ErrRankFailed", err)
+	}
 }
 
 // TestTCPHeartbeatDetectsSilentPeer covers the missed-heartbeat path:

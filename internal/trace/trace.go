@@ -15,11 +15,12 @@
 // Ring slots are written through atomics with a per-slot sequence
 // number (a single-producer ring hardened for the few multi-writer
 // tracks, e.g. the MPI endpoint track written by application and
-// delivery goroutines). A writer that laps another mid-write can tear
-// an event; the sequence check makes Snapshot discard such slots
-// instead of reporting garbage. This is the standard tracing trade:
-// bounded memory and a wait-free hot path, at the cost of possibly
-// losing events under extreme pressure.
+// delivery goroutines). A writer claims its slot by CAS on the sequence
+// number; one that laps another mid-write finds the slot taken and
+// drops its event (counted in Dropped) rather than tear it, and the
+// sequence check makes Snapshot skip slots being written. This is the
+// standard tracing trade: bounded memory and a wait-free hot path, at
+// the cost of possibly losing events under extreme pressure.
 package trace
 
 import (
@@ -303,7 +304,8 @@ func (t *Tracer) Snapshot() []TrackEvents {
 
 // slot is one ring cell. All fields are atomics so concurrent writers
 // (and a concurrent Snapshot) are data-race free; seq holds ticket+1
-// once the event is fully committed.
+// once the event is fully committed, and slotBusy while a writer that
+// claimed it is filling it in.
 type slot struct {
 	seq  atomic.Uint64
 	ts   atomic.Int64
@@ -319,7 +321,11 @@ type Ring struct {
 	mask  uint64
 	slots []slot
 	pos   atomic.Uint64
+	lost  atomic.Int64 // events dropped because their slot was taken
 }
+
+// slotBusy marks a slot claimed by a writer; no ticket reaches it.
+const slotBusy = ^uint64(0)
 
 // Emit records one event. Nil-safe; never blocks; never allocates.
 //
@@ -331,7 +337,14 @@ func (r *Ring) Emit(kind EventKind, a, b int64) {
 	ts := r.tr.now()
 	i := r.pos.Add(1) - 1
 	s := &r.slots[i&r.mask]
-	s.seq.Store(0) // mark in-progress so a concurrent Snapshot skips it
+	// Claim the slot. A writer a ring-length ahead or behind may hold it
+	// (busy) or have committed a newer event (seq > i); both writing it
+	// would publish a torn mix of their fields, so this event is dropped.
+	cur := s.seq.Load()
+	if cur > i || !s.seq.CompareAndSwap(cur, slotBusy) {
+		r.lost.Add(1)
+		return
+	}
 	s.ts.Store(ts)
 	s.kind.Store(int32(kind))
 	s.a.Store(a)
@@ -339,16 +352,19 @@ func (r *Ring) Emit(kind EventKind, a, b int64) {
 	s.seq.Store(i + 1)
 }
 
-// Dropped returns how many events were overwritten by overflow.
+// Dropped returns how many events were lost: overwritten by overflow,
+// or dropped by a writer that found its slot taken. (An event dropped
+// that way can later count once more as overflow.)
 func (r *Ring) Dropped() int64 {
 	if r == nil {
 		return 0
 	}
+	lost := r.lost.Load()
 	pos := r.pos.Load()
 	if n := uint64(len(r.slots)); pos > n {
-		return int64(pos - n)
+		return lost + int64(pos-n)
 	}
-	return 0
+	return lost
 }
 
 // Len returns the number of events currently held.

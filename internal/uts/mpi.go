@@ -63,7 +63,7 @@ type mpiWorker struct {
 // every reject would prevent any all-white round.
 func (w *mpiWorker) sendWork(buf []byte, dest, tag int) {
 	w.bar.WorkSent()
-	w.comm.Isend(buf, dest, tag) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+	w.comm.SendDetached(buf, dest, tag)
 }
 
 func (w *mpiWorker) run() Counters {
@@ -119,7 +119,7 @@ func (w *mpiWorker) answerSteal(thief int) {
 		w.ctr.Released++
 		return
 	}
-	w.comm.Isend(nil, thief, tagStealResp) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+	w.comm.SendDetached(nil, thief, tagStealResp)
 }
 
 // searchForWork is the idle loop: try random victims, answer rejects,
@@ -142,7 +142,7 @@ func (w *mpiWorker) searchForWork() {
 
 	// Pick a victim and issue a two-sided steal.
 	victim := pickVictim(w.rng, w.comm.Rank(), p)
-	w.comm.Isend(nil, victim, tagStealReq) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+	w.comm.SendDetached(nil, victim, tagStealReq)
 	resp := w.comm.IrecvAdopt(victim, tagStealResp)
 
 	for {
@@ -162,7 +162,7 @@ func (w *mpiWorker) searchForWork() {
 		if st, ok := w.comm.Iprobe(mpi.AnySource, tagStealReq); ok {
 			var b [1]byte
 			w.comm.Recv(b[:0], st.Source, tagStealReq)
-			w.comm.Isend(nil, st.Source, tagStealResp) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+			w.comm.SendDetached(nil, st.Source, tagStealResp)
 		}
 		w.tryTakeToken()
 		w.forwardTokenIfIdle()
@@ -193,11 +193,11 @@ func (w *mpiWorker) forwardTokenIfIdle() {
 	act, tok, next := w.bar.Advance(true)
 	switch act {
 	case distsched.ActionForward:
-		w.comm.Isend(tok, next, tagToken) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+		w.comm.SendDetached(tok, next, tagToken)
 	case distsched.ActionTerminate:
 		for r := 0; r < w.comm.Size(); r++ {
 			if r != w.comm.Rank() {
-				w.comm.Isend(nil, r, tagDone) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+				w.comm.SendDetached(nil, r, tagDone)
 			}
 		}
 		w.done = true
@@ -213,6 +213,6 @@ func (w *mpiWorker) drainRejects() {
 		}
 		var b [1]byte
 		w.comm.Recv(b[:0], st.Source, tagStealReq)
-		w.comm.Isend(nil, st.Source, tagStealResp) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+		w.comm.SendDetached(nil, st.Source, tagStealResp)
 	}
 }
