@@ -15,6 +15,7 @@ package hcmpi_test
 import (
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -169,6 +170,32 @@ func BenchmarkDDDFRemoteFetch(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkUnexpectedBacklog receives one message on tag 2 that arrived
+// behind N unexpected messages on tag 1: a send, delivery, and a receive
+// matched from the unexpected queue. The queue is binned by tag, so ns/op
+// stays flat as N grows; with one arrival-ordered list it grew with N.
+func BenchmarkUnexpectedBacklog(b *testing.B) {
+	for _, n := range []int{0, 1024, 16384} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			w := mpi.NewWorld(2)
+			defer w.Close()
+			c0, c1 := w.Comm(0), w.Comm(1)
+			buf := make([]byte, 8)
+			for i := 0; i < n; i++ {
+				c0.Send(buf, 1, 1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c0.Send(buf, 1, 2)
+				r := c1.Irecv(buf, 0, 2)
+				r.WaitStatus()
+				r.Free()
+			}
+		})
+	}
 }
 
 // --- per-table / per-figure experiment benchmarks (simulator) ---

@@ -219,7 +219,11 @@ type Config struct {
 	// PollSleep caps the communication worker's idle sleep. After a spin
 	// and yield phase, an idle worker sleeps exponentially longer per
 	// empty sweep — 1µs, 2µs, 4µs, … — up to this value, and never past
-	// the earliest pending deadline or retry instant. Default 20µs.
+	// the earliest pending deadline or retry instant. Default 20µs. In
+	// an otherwise idle process the Go runtime can stretch a
+	// sub-millisecond sleep to about 1ms (its netpoller waits in whole
+	// milliseconds; a 20µs sleep measured 1.09ms at p50), so below that
+	// the cap bounds the request, not the wait.
 	PollSleep time.Duration
 	// SendRetries is how many times the communication worker re-issues a
 	// send whose message the network reported dropped. Sends are
@@ -636,10 +640,10 @@ func (n *Node) commWorker() {
 	}
 }
 
-// idleSleep parks an idle communication worker. The sleep doubles from
-// 1µs per idle round up to cfg.PollSleep (so a briefly quiet worker
-// reacts in microseconds while a long-idle one settles at the
-// configured cap), and is additionally clipped to the time remaining
+// idleSleep parks an idle communication worker. The requested sleep
+// doubles from 1µs per idle round up to cfg.PollSleep; with nothing else
+// runnable the runtime can stretch it to about 1ms (see
+// Config.PollSleep). It is clipped to the time remaining
 // until the earliest pending event — an active operation's deadline or
 // a dropped send's retry instant — so adaptivity never delays a
 // timeout or retransmission decision.

@@ -196,9 +196,9 @@ type Comm struct {
 
 	// matching state, guarded by mu.
 	mu         sync.Mutex
-	arrived    *sync.Cond // broadcast on every delivery, for Probe
-	posted     []*Request // pending receive requests, post order
-	unexpected []inMsg    // unmatched arrived messages, arrival order
+	arrived    *sync.Cond      // broadcast on every delivery, for Probe
+	posted     []*Request      // pending receive requests, post order
+	unexpected unexpectedQueue // unmatched arrived messages, binned by tag
 
 	// collSeq numbers collective operations so that successive
 	// collectives never cross-match; all ranks call collectives in the
@@ -233,6 +233,10 @@ type Comm struct {
 	reqMiss  *trace.Counter
 	// detachedFailed counts detached sends that completed with an error.
 	detachedFailed *trace.Counter
+	// unexpectedHWM is mpi_unexpected_hwm, this comm's high-water mark of
+	// unexpected-queue depth, raised under mu. A registry shared by
+	// several comms (a World's) holds the sum of their marks.
+	unexpectedHWM *trace.Counter
 
 	// metrics is the endpoint's counter registry: the world's for netsim
 	// comms, the mesh's for distributed comms.
@@ -249,6 +253,8 @@ type inMsg struct {
 	// pooled marks payloads staged from the transport's buffer pool;
 	// the receive path recycles them after copying.
 	pooled bool
+	// seq is the arrival number the unexpected queue stamps.
+	seq uint64
 }
 
 func newComm(w *World, rank int) *Comm {
@@ -262,6 +268,7 @@ func newComm(w *World, rank int) *Comm {
 	c.reqHit = w.metrics.Counter("mpi_req_pool_hit")
 	c.reqMiss = w.metrics.Counter("mpi_req_pool_miss")
 	c.detachedFailed = w.metrics.Counter("mpi_detached_send_failed")
+	c.unexpectedHWM = w.metrics.Counter("mpi_unexpected_hwm")
 	c.sendFn = func(dest, tag int, payload []byte, onDelivered, onDropped func()) {
 		dc := w.comms[dest]
 		src := c.rank

@@ -671,16 +671,12 @@ func (c *Comm) irecvOpts(buf []byte, src, tag int, takeAll bool, timeout time.Du
 	}
 
 	c.mu.Lock()
-	// First scan the unexpected queue in arrival order (non-overtaking).
-	for i := range c.unexpected {
-		if match(src, tag, c.unexpected[i].src, c.unexpected[i].tag) {
-			m := c.unexpected[i]
-			c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
-			c.mu.Unlock()
-			exit()
-			req.fill(m)
-			return req
-		}
+	// First take the oldest matching unexpected message (non-overtaking).
+	if m, ok := c.unexpected.take(src, tag); ok {
+		c.mu.Unlock()
+		exit()
+		req.fill(m)
+		return req
 	}
 	c.posted = append(c.posted, req)
 	c.mu.Unlock()
@@ -766,7 +762,9 @@ func (c *Comm) deliver(m inMsg) {
 			return
 		}
 	}
-	c.unexpected = append(c.unexpected, m)
+	if c.unexpected.push(m) {
+		c.unexpectedHWM.Inc()
+	}
 	c.arrived.Broadcast()
 	c.mu.Unlock()
 }
@@ -790,15 +788,22 @@ func match(wantSrc, wantTag, src, tag int) bool {
 func (c *Comm) Iprobe(src, tag int) (*Status, bool) {
 	exit := c.enter()
 	defer exit()
+	return c.iprobe(src, tag)
+}
+
+// iprobe is the probe core shared by Iprobe and IprobeReserved.
+func (c *Comm) iprobe(src, tag int) (*Status, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := range c.unexpected {
-		if match(src, tag, c.unexpected[i].src, c.unexpected[i].tag) {
-			st := &Status{Source: c.unexpected[i].src, Tag: c.unexpected[i].tag, Bytes: len(c.unexpected[i].payload)}
-			return st, true
-		}
+	if m := c.unexpected.peek(src, tag); m != nil {
+		return m.status(), true
 	}
 	return nil, false
+}
+
+// status is the envelope a probe reports for m.
+func (m *inMsg) status() *Status {
+	return &Status{Source: m.src, Tag: m.tag, Bytes: len(m.payload)}
 }
 
 // Probe blocks until a matching message is available and returns its
@@ -810,10 +815,8 @@ func (c *Comm) Probe(src, tag int) *Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		for i := range c.unexpected {
-			if match(src, tag, c.unexpected[i].src, c.unexpected[i].tag) {
-				return &Status{Source: c.unexpected[i].src, Tag: c.unexpected[i].tag, Bytes: len(c.unexpected[i].payload)}
-			}
+		if m := c.unexpected.peek(src, tag); m != nil {
+			return m.status()
 		}
 		c.arrived.Wait()
 	}
@@ -824,5 +827,5 @@ func (c *Comm) Probe(src, tag int) *Status {
 func (c *Comm) PendingUnexpected() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.unexpected)
+	return c.unexpected.n
 }

@@ -30,12 +30,5 @@ func (c *Comm) IrecvReserved(src, tag int) *Request {
 // IprobeReserved is Iprobe for reserved tags.
 func (c *Comm) IprobeReserved(src, tag int) (*Status, bool) {
 	checkReservedTag(tag)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.unexpected {
-		if match(src, tag, c.unexpected[i].src, c.unexpected[i].tag) {
-			return &Status{Source: c.unexpected[i].src, Tag: c.unexpected[i].tag, Bytes: len(c.unexpected[i].payload)}, true
-		}
-	}
-	return nil, false
+	return c.iprobe(src, tag)
 }

@@ -213,6 +213,7 @@ func Distributed(rank int, addrs []string, opts ...DistOption) (*Comm, io.Closer
 	c.reqHit = m.metrics.Counter("mpi_req_pool_hit")
 	c.reqMiss = m.metrics.Counter("mpi_req_pool_miss")
 	c.detachedFailed = m.metrics.Counter("mpi_detached_send_failed")
+	c.unexpectedHWM = m.metrics.Counter("mpi_unexpected_hwm")
 	c.bufs = m.bufs
 	c.ring = cfg.tracer.Register(rank, trace.MPITid, "mpi", trace.TrackMPI)
 	c.sendHook = m.send
